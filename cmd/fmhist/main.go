@@ -41,6 +41,7 @@ import (
 
 	"filtermap"
 	"filtermap/internal/longitudinal"
+	"filtermap/internal/pipeline"
 	"filtermap/internal/simclock"
 	"filtermap/internal/store"
 	"filtermap/internal/version"
@@ -114,7 +115,7 @@ selectors (show, diff): every snapshot reference accepts
 // record persists one snapshot, from a file or a fresh pipeline run.
 func record(s *store.Store, args []string) error {
 	fs := flag.NewFlagSet("record", flag.ExitOnError)
-	kind := fs.String("kind", longitudinal.KindIdentify, "snapshot kind: identify, table4, discovery, or mechanisms")
+	kind := fs.String("kind", pipeline.Identify.Snapshot, "snapshot kind: identify, table4, discovery, or mechanisms")
 	note := fs.String("note", "", "free-form annotation")
 	in := fs.String("in", "", "ingest a JSON document (fmscan/fmrepro -json output)")
 	run := fs.Bool("run", false, "build the world and run the pipeline")
@@ -126,9 +127,8 @@ func record(s *store.Store, args []string) error {
 	rounds := fs.Int("rounds", 0, "discovery crawl rounds (with -run -kind discovery; 0 = default)")
 	budget := fs.Int("budget", 0, "discovery probe budget (with -run -kind discovery; 0 = default)")
 	fs.Parse(args) //nolint:errcheck // ExitOnError
-	switch *kind {
-	case longitudinal.KindIdentify, longitudinal.KindTable4, longitudinal.KindDiscovery, longitudinal.KindMechanisms:
-	default:
+	k, ok := pipeline.BySnapshot(*kind)
+	if !ok {
 		return fmt.Errorf("unsupported kind %q (identify, table4, discovery, or mechanisms)", *kind)
 	}
 	if (*in == "") == !*run {
@@ -152,7 +152,7 @@ func record(s *store.Store, args []string) error {
 			HideConsoles: *hideConsoles,
 			ScrubHeaders: *scrubHeaders,
 		}
-		if *kind == longitudinal.KindMechanisms {
+		if k.Roster {
 			opts.Mechanisms = &filtermap.MechanismOptions{}
 		}
 		var engOpts []filtermap.Option
@@ -165,39 +165,12 @@ func record(s *store.Store, args []string) error {
 		}
 		defer w.Close()
 		w.Clock.Advance(*advance)
-		ctx := context.Background()
-		var doc any
-		switch *kind {
-		case longitudinal.KindIdentify:
-			rep, err := w.RunIdentification(ctx)
-			if err != nil {
-				return err
-			}
-			doc = filtermap.Reporter{}.IdentifyJSON(rep)
-		case longitudinal.KindTable4:
-			w.Clock.Advance(8 * time.Hour)
-			reports, err := w.RunCharacterization(ctx)
-			if err != nil {
-				return err
-			}
-			doc = filtermap.Reporter{}.Table4JSON(reports)
-		case longitudinal.KindDiscovery:
-			w.Clock.Advance(8 * time.Hour)
-			targets, err := w.RunDiscovery(ctx, filtermap.DiscoveryOptions{
-				Rounds: *rounds, Budget: *budget,
-			})
-			if err != nil {
-				return err
-			}
-			doc = filtermap.Reporter{}.DiscoveryJSON(*rounds, *budget, targets)
-		case longitudinal.KindMechanisms:
-			targets, err := w.RunMechanismSurvey(ctx)
-			if err != nil {
-				return err
-			}
-			doc = filtermap.Reporter{}.MechanismsJSON(targets)
+		w.Clock.Advance(k.Clock)
+		res, err := k.Run(context.Background(), w, nil, pipeline.Params{Rounds: *rounds, Budget: *budget})
+		if err != nil {
+			return err
 		}
-		if body, err = json.Marshal(doc); err != nil {
+		if body, err = json.Marshal(res.Doc); err != nil {
 			return err
 		}
 		at = w.Clock.Now()

@@ -13,6 +13,7 @@ import (
 	"filtermap"
 
 	"filtermap/internal/engine"
+	"filtermap/internal/pipeline"
 	"filtermap/internal/server"
 	"filtermap/internal/world"
 )
@@ -66,7 +67,7 @@ func TestDiscoverEndpointMatchesCLIDocument(t *testing.T) {
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
-	reqBody, err := json.Marshal(server.DiscoverRequest{ISPs: isps, Rounds: rounds, Budget: budget})
+	reqBody, err := json.Marshal(pipeline.Params{ISPs: isps, Rounds: rounds, Budget: budget})
 	if err != nil {
 		t.Fatal(err)
 	}

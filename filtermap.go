@@ -44,6 +44,7 @@ import (
 	"filtermap/internal/longitudinal"
 	"filtermap/internal/monitor"
 	"filtermap/internal/netsim"
+	"filtermap/internal/pipeline"
 	"filtermap/internal/report"
 	"filtermap/internal/server"
 	"filtermap/internal/store"
@@ -402,53 +403,31 @@ func (Reporter) IdentifyJSON(rep *IdentifyReport) IdentifyDoc { return report.Id
 // detail, and the novel blocked URLs absent from every curated list.
 // Zero rounds/budget print as the crawler defaults.
 func (Reporter) Discovery(rounds, budget int, targets []TargetDiscovery) string {
-	return report.Discovery(rounds, budget, discoveryTargets(targets), world.DiscoveredList(targets))
+	return report.Discovery(rounds, budget, pipeline.DiscoveryTargets(targets), world.DiscoveredList(targets))
 }
 
 // DiscoveryJSON builds the machine-readable discovery document
 // (fmserve's POST /v1/discover encoding).
 func (Reporter) DiscoveryJSON(rounds, budget int, targets []TargetDiscovery) DiscoveryDoc {
-	return report.DiscoveryJSON(rounds, budget, discoveryTargets(targets), world.DiscoveredList(targets))
-}
-
-// discoveryTargets adapts world targets to the report layer's view.
-func discoveryTargets(targets []TargetDiscovery) []report.DiscoveryTarget {
-	rts := make([]report.DiscoveryTarget, 0, len(targets))
-	for _, t := range targets {
-		rts = append(rts, report.DiscoveryTarget{
-			Country: t.Country, ISP: t.ISP, ASN: t.ASN, Report: t.Report,
-		})
-	}
-	return rts
+	return report.DiscoveryJSON(rounds, budget, pipeline.DiscoveryTargets(targets), world.DiscoveredList(targets))
 }
 
 // Mechanisms renders the mechanism survey as text: per-ISP mechanism
 // and product attributions with their wire-quirk evidence.
 func (Reporter) Mechanisms(targets []MechanismSurveyTarget) string {
-	return report.MechanismSurvey(mechanismTargets(targets))
+	return report.MechanismSurvey(pipeline.MechanismTargets(targets))
 }
 
 // Table4Mechanisms renders the mechanism analog of Table 4: product,
 // mechanism, and censored research categories per surveyed ISP.
 func (Reporter) Table4Mechanisms(targets []MechanismSurveyTarget) string {
-	return report.Table4Mechanisms(mechanismTargets(targets))
+	return report.Table4Mechanisms(pipeline.MechanismTargets(targets))
 }
 
 // MechanismsJSON builds the machine-readable mechanism survey document
 // (fmserve's POST /v1/mechanisms encoding).
 func (Reporter) MechanismsJSON(targets []MechanismSurveyTarget) MechanismsDoc {
-	return report.MechanismsJSON(mechanismTargets(targets))
-}
-
-// mechanismTargets adapts world survey targets to the report layer.
-func mechanismTargets(targets []MechanismSurveyTarget) []report.MechanismTarget {
-	rts := make([]report.MechanismTarget, 0, len(targets))
-	for _, t := range targets {
-		rts = append(rts, report.MechanismTarget{
-			Country: t.Country, ISP: t.ISP, ASN: t.ASN, Results: t.Results,
-		})
-	}
-	return rts
+	return report.MechanismsJSON(pipeline.MechanismTargets(targets))
 }
 
 // DiffText renders a longitudinal diff as text — the same output fmhist
@@ -461,29 +440,3 @@ func (Reporter) DiffJSON(d *Diff) *Diff { return d }
 
 // Timeline renders a longitudinal timeline as a per-country count table.
 func (Reporter) Timeline(tl *Timeline) string { return tl.Render() }
-
-// RenderTable1 renders the paper's product inventory.
-//
-// Deprecated: use Reporter.Table1.
-func RenderTable1() string { return Reporter{}.Table1() }
-
-// RenderTable3 renders confirmation outcomes in the paper's Table 3
-// layout.
-//
-// Deprecated: use Reporter.Table3.
-func RenderTable3(outcomes []*Outcome) string { return Reporter{}.Table3(outcomes) }
-
-// RenderTable4 renders characterization reports as the Table 4 matrix.
-//
-// Deprecated: use Reporter.Table4.
-func RenderTable4(reports []*CharacterizeReport) string { return Reporter{}.Table4(reports) }
-
-// RenderFigure1 renders the identification report as the Figure 1 map.
-//
-// Deprecated: use Reporter.Figure1.
-func RenderFigure1(rep *IdentifyReport) string { return Reporter{}.Figure1(rep) }
-
-// RenderInstallations renders per-installation identification detail.
-//
-// Deprecated: use Reporter.Installations.
-func RenderInstallations(rep *IdentifyReport) string { return Reporter{}.Installations(rep) }

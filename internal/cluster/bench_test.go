@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"filtermap/internal/engine"
+	"filtermap/internal/pipeline"
 	"filtermap/internal/world"
 )
 
@@ -30,7 +31,7 @@ func BenchmarkClusterFanout(b *testing.B) {
 				go w.Run(ctx) //nolint:errcheck // exits on cancel
 			}
 			req := Request{
-				Kind:  KindMechanisms,
+				Kind:  pipeline.Mechanisms.Name,
 				World: world.Options{Mechanisms: &world.MechanismOptions{}},
 			}
 			b.ResetTimer()

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"filtermap/internal/fingerprint"
+	"filtermap/internal/pipeline"
 	"filtermap/internal/report"
 	"filtermap/internal/world"
 )
@@ -75,7 +76,7 @@ func TestRingStability(t *testing.T) {
 // ---- split ----
 
 func TestSplitIdentifyPerProduct(t *testing.T) {
-	specs, err := Split(Request{Kind: KindIdentify})
+	specs, err := Split(Request{Kind: pipeline.Identify.Name})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +100,7 @@ func TestSplitISPOrderAndFilter(t *testing.T) {
 	if len(roster) < 2 {
 		t.Skip("roster too small to exercise filtering")
 	}
-	specs, err := Split(Request{Kind: KindMechanisms})
+	specs, err := Split(Request{Kind: pipeline.Mechanisms.Name})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +109,7 @@ func TestSplitISPOrderAndFilter(t *testing.T) {
 	}
 	// Request ISPs out of roster order: shard order must stay canonical.
 	reversed := []string{roster[len(roster)-1], roster[0]}
-	specs, err = Split(Request{Kind: KindMechanisms, ISPs: reversed})
+	specs, err = Split(Request{Kind: pipeline.Mechanisms.Name, ISPs: reversed})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +130,7 @@ func startJob(t *testing.T, c *Coordinator) (<-chan any, <-chan error) {
 	docs := make(chan any, 1)
 	errs := make(chan error, 1)
 	go func() {
-		doc, err := c.Run(context.Background(), Request{Kind: KindMechanisms})
+		doc, err := c.Run(context.Background(), Request{Kind: pipeline.Mechanisms.Name})
 		docs <- doc
 		errs <- err
 	}()
@@ -315,7 +316,7 @@ func TestRunAbortsOnContextCancel(t *testing.T) {
 	c := NewCoordinator(Options{})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := c.Run(ctx, Request{Kind: KindMechanisms}); !errors.Is(err, context.Canceled) {
+	if _, err := c.Run(ctx, Request{Kind: pipeline.Mechanisms.Name}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("Run under canceled ctx = %v, want context.Canceled", err)
 	}
 	// The aborted job must not be leasable.
@@ -343,7 +344,7 @@ func TestMergeIdentifyExactness(t *testing.T) {
 		Installations: []report.InstallationDoc{shared},
 		StageErrors:   []report.StageErrorDoc{{Stage: "whois", Target: "10.0.0.9", Error: "timeout"}},
 	}
-	got, err := Merge(Request{Kind: KindIdentify}, []*Fragment{fragA, fragB})
+	got, err := Merge(Request{Kind: pipeline.Identify.Name}, []*Fragment{fragA, fragB})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -372,7 +373,7 @@ func TestMergeIdentifyExactness(t *testing.T) {
 		t.Fatal("stage errors must mark the merged doc degraded")
 	}
 
-	if _, err := Merge(Request{Kind: KindIdentify}, []*Fragment{fragA, nil}); err == nil {
+	if _, err := Merge(Request{Kind: pipeline.Identify.Name}, []*Fragment{fragA, nil}); err == nil {
 		t.Fatal("Merge must reject a missing fragment")
 	}
 }
@@ -385,7 +386,7 @@ func TestRunZeroShards(t *testing.T) {
 	c := NewCoordinator(Options{OnComplete: func(Request, any) { completed++ }})
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	doc, err := c.Run(ctx, Request{Kind: KindMechanisms, ISPs: []string{"no-such-isp"}})
+	doc, err := c.Run(ctx, Request{Kind: pipeline.Mechanisms.Name, ISPs: []string{"no-such-isp"}})
 	if err != nil {
 		t.Fatalf("zero-shard Run: %v", err)
 	}

@@ -7,6 +7,7 @@ import (
 
 	"filtermap/internal/characterize"
 	"filtermap/internal/discovery"
+	"filtermap/internal/pipeline"
 	"filtermap/internal/report"
 	"filtermap/internal/urllist"
 )
@@ -23,13 +24,13 @@ func Merge(req Request, frags []*Fragment) (any, error) {
 		}
 	}
 	switch req.Kind {
-	case KindIdentify:
+	case pipeline.Identify.Name:
 		return mergeIdentify(frags)
-	case KindCharacterize:
+	case pipeline.Characterize.Name:
 		return mergeCharacterize(frags), nil
-	case KindDiscover:
+	case pipeline.Discover.Name:
 		return mergeDiscover(req, frags), nil
-	case KindMechanisms:
+	case pipeline.Mechanisms.Name:
 		return mergeMechanisms(frags), nil
 	default:
 		return nil, fmt.Errorf("cluster: kind %q is not mergeable", req.Kind)

@@ -30,26 +30,6 @@ import (
 	"filtermap/internal/world"
 )
 
-// Pipeline kinds the cluster can shard. Confirmation campaigns are
-// excluded by design: a campaign consumes the virtual timeline (clock
-// advancement, vendor submission queues), so it is single-use and runs
-// in-process.
-const (
-	KindIdentify     = "identify"
-	KindCharacterize = "characterize"
-	KindDiscover     = "discover"
-	KindMechanisms   = "mechanisms"
-)
-
-// Shardable reports whether the cluster can fan the kind out.
-func Shardable(kind string) bool {
-	switch kind {
-	case KindIdentify, KindCharacterize, KindDiscover, KindMechanisms:
-		return true
-	}
-	return false
-}
-
 // Request is one plan to scan out: the effective world options the run
 // executes under plus the kind-specific parameters, mirroring the
 // server's normalized request types.

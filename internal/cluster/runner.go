@@ -4,26 +4,22 @@ import (
 	"context"
 	"fmt"
 	"sync"
-	"time"
 
 	"filtermap/internal/engine"
-	"filtermap/internal/fingerprint"
+	"filtermap/internal/pipeline"
 	"filtermap/internal/report"
 	"filtermap/internal/scanner"
 	"filtermap/internal/store"
 	"filtermap/internal/world"
 )
 
-// Runner executes shard specs against local world replicas. It mirrors
-// the server's single-process clock positioning exactly — that is the
-// byte-identity contract:
-//
-//   - identify runs against a long-lived replica at the world epoch with
-//     a once-scanned banner index (the server's base world + shared
-//     index), cached per world-config hash across shards.
-//   - characterize and discover run on a fresh world advanced 8 virtual
-//     hours (the Yemen license window activation the CLIs use).
-//   - mechanisms runs on a fresh world at the epoch.
+// Runner executes shard specs against local world replicas. It
+// positions each world exactly the way the server's single-process run
+// does — that is the byte-identity contract: an indexed kind
+// (identify) runs against a long-lived replica at the world epoch with
+// a once-scanned banner index (the server's base world + shared index),
+// cached per world-config hash across shards; every other kind runs on
+// a fresh world built by its pipeline.Kind (clock offset included).
 type Runner struct {
 	engOpts []engine.Option
 
@@ -68,18 +64,56 @@ func (r *Runner) Close() {
 
 // RunShard executes one shard and returns its fragment.
 func (r *Runner) RunShard(ctx context.Context, spec ShardSpec) (*Fragment, error) {
-	switch spec.Kind {
-	case KindIdentify:
-		return r.runIdentify(ctx, spec)
-	case KindCharacterize:
-		return r.runCharacterize(ctx, spec)
-	case KindDiscover:
-		return r.runDiscover(ctx, spec)
-	case KindMechanisms:
-		return r.runMechanisms(ctx, spec)
-	default:
+	k, ok := pipeline.ByName(spec.Kind)
+	if !ok || !k.Shardable() {
 		return nil, fmt.Errorf("cluster: unknown shard kind %q", spec.Kind)
 	}
+	var w *world.World
+	var idx *scanner.Index
+	var err error
+	if k.Indexed {
+		w, idx, err = r.replica(ctx, spec.World)
+	} else {
+		w, err = k.Build(spec.World, r.engOpts...)
+		if err == nil {
+			defer w.Close()
+		}
+	}
+	if err != nil {
+		return nil, err
+	}
+	p := k.Targets.Restrict(pipeline.Params{Countries: spec.Countries, Rounds: spec.Rounds, Budget: spec.Budget}, spec.Pieces)
+	res, err := k.Run(ctx, w, idx, p)
+	if err != nil {
+		return nil, err
+	}
+	return fragment(spec.Pieces, res), nil
+}
+
+// fragment cuts a shard's document into its fragment fields.
+func fragment(pieces []string, res pipeline.Result) *Fragment {
+	frag := &Fragment{Pieces: pieces}
+	switch doc := res.Doc.(type) {
+	case report.IdentifyDoc:
+		frag.Installations, frag.QueryErrors, frag.StageErrors = doc.Installations, doc.QueryErrors, doc.StageErrors
+		if len(res.Identify.CandidatesByProduct) > 0 {
+			frag.Candidates = make(map[string][]string, len(res.Identify.CandidatesByProduct))
+			for product, addrs := range res.Identify.CandidatesByProduct {
+				strs := make([]string, len(addrs))
+				for i, a := range addrs {
+					strs[i] = a.String()
+				}
+				frag.Candidates[product] = strs
+			}
+		}
+	case report.Table4Doc:
+		frag.Table4Rows, frag.Reports = doc.Rows, doc.Reports
+	case report.DiscoveryDoc:
+		frag.Discovery = doc.Targets
+	case report.MechanismsDoc:
+		frag.Mechanisms = doc.Mechanisms
+	}
+	return frag
 }
 
 // replica returns the cached identify world + index for the spec's world
@@ -116,102 +150,4 @@ func (r *Runner) replica(ctx context.Context, opts world.Options) (*world.World,
 		return nil, nil, rep.err
 	}
 	return rep.world, rep.index, nil
-}
-
-func (r *Runner) runIdentify(ctx context.Context, spec ShardSpec) (*Fragment, error) {
-	w, idx, err := r.replica(ctx, spec.World)
-	if err != nil {
-		return nil, err
-	}
-	p, err := w.IdentifyPipeline(ctx, idx)
-	if err != nil {
-		return nil, err
-	}
-	all := fingerprint.ShodanKeywords()
-	kw := make(map[string][]string, len(spec.Pieces))
-	for _, prod := range spec.Pieces {
-		kw[prod] = all[prod]
-	}
-	p.Keywords = kw
-	if len(spec.Countries) > 0 {
-		p.Countries = spec.Countries
-	}
-	rep, err := p.Run(ctx)
-	if err != nil {
-		return nil, err
-	}
-	doc := report.IdentifyJSON(rep)
-	frag := &Fragment{
-		Pieces:        spec.Pieces,
-		Installations: doc.Installations,
-		QueryErrors:   doc.QueryErrors,
-		StageErrors:   doc.StageErrors,
-	}
-	if len(rep.CandidatesByProduct) > 0 {
-		frag.Candidates = make(map[string][]string, len(rep.CandidatesByProduct))
-		for product, addrs := range rep.CandidatesByProduct {
-			strs := make([]string, len(addrs))
-			for i, a := range addrs {
-				strs[i] = a.String()
-			}
-			frag.Candidates[product] = strs
-		}
-	}
-	return frag, nil
-}
-
-func (r *Runner) runCharacterize(ctx context.Context, spec ShardSpec) (*Fragment, error) {
-	w, err := world.Build(spec.World, r.engOpts...)
-	if err != nil {
-		return nil, err
-	}
-	defer w.Close()
-	w.Clock.Advance(8 * time.Hour)
-	reports, err := w.RunCharacterizationFor(ctx, spec.Pieces)
-	if err != nil {
-		return nil, err
-	}
-	doc := report.Table4JSON(reports)
-	return &Fragment{Pieces: spec.Pieces, Table4Rows: doc.Rows, Reports: doc.Reports}, nil
-}
-
-func (r *Runner) runDiscover(ctx context.Context, spec ShardSpec) (*Fragment, error) {
-	w, err := world.Build(spec.World, r.engOpts...)
-	if err != nil {
-		return nil, err
-	}
-	defer w.Close()
-	w.Clock.Advance(8 * time.Hour)
-	targets, err := w.RunDiscovery(ctx, world.DiscoveryOptions{
-		ISPs:   spec.Pieces,
-		Rounds: spec.Rounds,
-		Budget: spec.Budget,
-	})
-	if err != nil {
-		return nil, err
-	}
-	rts := make([]report.DiscoveryTarget, 0, len(targets))
-	for _, t := range targets {
-		rts = append(rts, report.DiscoveryTarget{Country: t.Country, ISP: t.ISP, ASN: t.ASN, Report: t.Report})
-	}
-	doc := report.DiscoveryJSON(spec.Rounds, spec.Budget, rts, world.DiscoveredList(targets))
-	return &Fragment{Pieces: spec.Pieces, Discovery: doc.Targets}, nil
-}
-
-func (r *Runner) runMechanisms(ctx context.Context, spec ShardSpec) (*Fragment, error) {
-	w, err := world.Build(spec.World, r.engOpts...)
-	if err != nil {
-		return nil, err
-	}
-	defer w.Close()
-	targets, err := w.RunMechanismSurveyFor(ctx, spec.Pieces)
-	if err != nil {
-		return nil, err
-	}
-	rts := make([]report.MechanismTarget, 0, len(targets))
-	for _, t := range targets {
-		rts = append(rts, report.MechanismTarget{Country: t.Country, ISP: t.ISP, ASN: t.ASN, Results: t.Results})
-	}
-	doc := report.MechanismsJSON(rts)
-	return &Fragment{Pieces: spec.Pieces, Mechanisms: doc.Mechanisms}, nil
 }

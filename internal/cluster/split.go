@@ -2,13 +2,12 @@ package cluster
 
 import (
 	"fmt"
-	"sort"
 
-	"filtermap/internal/fingerprint"
-	"filtermap/internal/world"
+	"filtermap/internal/pipeline"
 )
 
-// Split cuts a request into shards, one per probe-space unit:
+// Split cuts a request into shards, one per member of the kind's target
+// set (pipeline.Kind.Targets) that the request selects:
 //
 //   - identify: one shard per Table 2 product (the keyword fan-out is
 //     per-product; validation returns every product's matches for a
@@ -17,71 +16,32 @@ import (
 //   - characterize / discover: one shard per characterization-target ISP.
 //   - mechanisms: one shard per mechanism-roster ISP.
 //
-// Shard order is the single-process execution order (sorted products;
-// target/roster order for ISPs), which is also the merge order.
+// Shard order is the single-process execution order (the target set's
+// order), which is also the merge order. Confirmation campaigns have no
+// target set: a campaign consumes the virtual timeline (clock
+// advancement, vendor submission queues), so it is single-use and runs
+// in-process.
 func Split(req Request) ([]ShardSpec, error) {
-	switch req.Kind {
-	case KindIdentify:
-		products := req.Products
-		if len(products) == 0 {
-			for p := range fingerprint.ShodanKeywords() {
-				products = append(products, p)
-			}
-			sort.Strings(products)
-		}
-		specs := make([]ShardSpec, 0, len(products))
-		for _, p := range products {
-			specs = append(specs, ShardSpec{
-				Kind:      req.Kind,
-				World:     req.World,
-				Pieces:    []string{p},
-				Countries: req.Countries,
-			})
-		}
-		return specs, nil
-	case KindCharacterize, KindDiscover:
-		var isps []string
-		for _, t := range world.CharacterizationTargets() {
-			isps = append(isps, t.ISP)
-		}
-		return ispShards(req, filterISPs(isps, req.ISPs)), nil
-	case KindMechanisms:
-		return ispShards(req, filterISPs(world.MechanismRosterISPs(), req.ISPs)), nil
-	default:
+	k, ok := pipeline.ByName(req.Kind)
+	if !ok || !k.Shardable() {
 		return nil, fmt.Errorf("cluster: kind %q is not shardable", req.Kind)
 	}
-}
-
-// filterISPs keeps `all` in order, restricted to `want` when non-empty —
-// the same filtering RunCharacterizationFor / RunMechanismSurveyFor
-// apply, so shard order matches single-process target order.
-func filterISPs(all, want []string) []string {
-	if len(want) == 0 {
-		return all
-	}
-	wanted := make(map[string]bool, len(want))
-	for _, isp := range want {
-		wanted[isp] = true
-	}
-	out := make([]string, 0, len(want))
-	for _, isp := range all {
-		if wanted[isp] {
-			out = append(out, isp)
-		}
-	}
-	return out
-}
-
-func ispShards(req Request, isps []string) []ShardSpec {
-	specs := make([]ShardSpec, 0, len(isps))
-	for _, isp := range isps {
+	pieces := k.Targets.Select(req.params())
+	specs := make([]ShardSpec, 0, len(pieces))
+	for _, piece := range pieces {
 		specs = append(specs, ShardSpec{
-			Kind:   req.Kind,
-			World:  req.World,
-			Pieces: []string{isp},
-			Rounds: req.Rounds,
-			Budget: req.Budget,
+			Kind:      req.Kind,
+			World:     req.World,
+			Pieces:    []string{piece},
+			Countries: req.Countries,
+			Rounds:    req.Rounds,
+			Budget:    req.Budget,
 		})
 	}
-	return specs
+	return specs, nil
+}
+
+// params is the request's pipeline parameters.
+func (r Request) params() pipeline.Params {
+	return pipeline.Params{Products: r.Products, Countries: r.Countries, ISPs: r.ISPs, Rounds: r.Rounds, Budget: r.Budget}
 }

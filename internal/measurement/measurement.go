@@ -168,12 +168,6 @@ type Client struct {
 	// Classifier recognizes vendor block pages; nil uses the default
 	// corpus.
 	Classifier *blockpage.Classifier
-	// Timeout bounds each fetch (default 10s).
-	//
-	// Deprecated: set Config.Timeout (or use NewClient with
-	// engine.WithTimeout). Timeout still wins when both are set, so
-	// existing struct-literal construction keeps working.
-	Timeout time.Duration
 	// MaxRedirects bounds each redirect chain (default 10).
 	MaxRedirects int
 	// Config carries the shared execution knobs (workers, timeout, retry,
@@ -234,9 +228,6 @@ func (c *Client) classifier() *blockpage.Classifier {
 }
 
 func (c *Client) timeout() time.Duration {
-	if c.Timeout > 0 {
-		return c.Timeout
-	}
 	return c.Config.TimeoutOr(DefaultFetchTimeout)
 }
 

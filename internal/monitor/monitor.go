@@ -13,25 +13,18 @@ import (
 
 	"filtermap/internal/engine"
 	"filtermap/internal/longitudinal"
-	"filtermap/internal/report"
+	"filtermap/internal/pipeline"
 	"filtermap/internal/store"
 	"filtermap/internal/world"
-)
-
-// Plan kinds. These double as the store snapshot kinds the plan appends,
-// matching the longitudinal engine's kind switch.
-const (
-	PlanIdentify   = longitudinal.KindIdentify
-	PlanDiscovery  = longitudinal.KindDiscovery
-	PlanMechanisms = longitudinal.KindMechanisms
 )
 
 // Plan is one recurring scan.
 type Plan struct {
 	// Name labels the plan in events (defaults to Kind).
 	Name string
-	// Kind selects the pipeline: PlanIdentify, PlanDiscovery or
-	// PlanMechanisms.
+	// Kind selects the pipeline by the snapshot kind it records
+	// (pipeline.Kind.Snapshot): identify, table4, discovery or
+	// mechanisms.
 	Kind string
 	// Every is the virtual re-run period.
 	Every time.Duration
@@ -49,9 +42,9 @@ type Plan struct {
 // mechanism survey every other day, a discovery crawl twice a week.
 func DefaultPlans() []Plan {
 	return []Plan{
-		{Name: "identify", Kind: PlanIdentify, Every: 24 * time.Hour},
-		{Name: "mechanisms", Kind: PlanMechanisms, Every: 48 * time.Hour, JitterPct: 10},
-		{Name: "discovery", Kind: PlanDiscovery, Every: 96 * time.Hour, JitterPct: 10, Rounds: 2, Budget: 16},
+		{Name: "identify", Kind: pipeline.Identify.Snapshot, Every: 24 * time.Hour},
+		{Name: "mechanisms", Kind: pipeline.Mechanisms.Snapshot, Every: 48 * time.Hour, JitterPct: 10},
+		{Name: "discovery", Kind: pipeline.Discover.Snapshot, Every: 96 * time.Hour, JitterPct: 10, Rounds: 2, Budget: 16},
 	}
 }
 
@@ -147,14 +140,12 @@ func New(o Options, st *store.Store) (*Monitor, error) {
 		if p.Name == "" {
 			p.Name = p.Kind
 		}
-		switch p.Kind {
-		case PlanIdentify, PlanDiscovery:
-		case PlanMechanisms:
-			if o.World.Mechanisms == nil {
-				o.World.Mechanisms = &world.MechanismOptions{}
-			}
-		default:
+		k, ok := pipeline.BySnapshot(p.Kind)
+		if !ok {
 			return nil, fmt.Errorf("monitor: unknown plan kind %q", p.Kind)
+		}
+		if k.Roster && o.World.Mechanisms == nil {
+			o.World.Mechanisms = &world.MechanismOptions{}
 		}
 		if p.Every <= 0 {
 			return nil, fmt.Errorf("monitor: plan %q needs a positive period", p.Name)
@@ -366,40 +357,18 @@ func (m *Monitor) runPlan(ctx context.Context, tick int, ps *planState) (Event, 
 	return m.publish(ev), nil
 }
 
-// runPipeline executes the plan's scan and returns the snapshot body —
-// the same document shape fmserve serves for the kind, so monitor
-// snapshots and API snapshots diff against each other.
+// runPipeline executes the plan's scan on the monitored world and
+// returns the snapshot body — the same document shape fmserve serves
+// for the kind, so monitor snapshots and API snapshots diff against
+// each other. The world's clock is the monitor's own: ticks position
+// it, not the kind's offset.
 func (m *Monitor) runPipeline(ctx context.Context, p *Plan) (json.RawMessage, error) {
-	switch p.Kind {
-	case PlanIdentify:
-		rep, err := m.w.RunIdentification(ctx)
-		if err != nil {
-			return nil, err
-		}
-		return json.Marshal(report.IdentifyJSON(rep))
-	case PlanDiscovery:
-		targets, err := m.w.RunDiscovery(ctx, world.DiscoveryOptions{Rounds: p.Rounds, Budget: p.Budget})
-		if err != nil {
-			return nil, err
-		}
-		rts := make([]report.DiscoveryTarget, 0, len(targets))
-		for _, t := range targets {
-			rts = append(rts, report.DiscoveryTarget{Country: t.Country, ISP: t.ISP, ASN: t.ASN, Report: t.Report})
-		}
-		return json.Marshal(report.DiscoveryJSON(p.Rounds, p.Budget, rts, world.DiscoveredList(targets)))
-	case PlanMechanisms:
-		targets, err := m.w.RunMechanismSurvey(ctx)
-		if err != nil {
-			return nil, err
-		}
-		rts := make([]report.MechanismTarget, 0, len(targets))
-		for _, t := range targets {
-			rts = append(rts, report.MechanismTarget{Country: t.Country, ISP: t.ISP, ASN: t.ASN, Results: t.Results})
-		}
-		return json.Marshal(report.MechanismsJSON(rts))
-	default:
-		return nil, fmt.Errorf("unknown plan kind %q", p.Kind)
+	k, _ := pipeline.BySnapshot(p.Kind) // New validated every plan kind
+	res, err := k.Run(ctx, m.w, nil, pipeline.Params{Rounds: p.Rounds, Budget: p.Budget})
+	if err != nil {
+		return nil, err
 	}
+	return json.Marshal(res.Doc)
 }
 
 func (m *Monitor) publish(e Event) Event {

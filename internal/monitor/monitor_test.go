@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"filtermap/internal/engine"
+	"filtermap/internal/pipeline"
 	"filtermap/internal/store"
 	"filtermap/internal/world"
 )
@@ -119,7 +120,7 @@ func runMonitor(t *testing.T, seed uint64, workers, n int) (string, Counters) {
 		Seed: seed,
 		Tick: 24 * time.Hour,
 		Plans: []Plan{
-			{Name: "identify", Kind: PlanIdentify, Every: 24 * time.Hour},
+			{Name: "identify", Kind: pipeline.Identify.Snapshot, Every: 24 * time.Hour},
 		},
 		Engine: []engine.Option{engine.WithWorkers(workers)},
 	}, st)
@@ -159,7 +160,7 @@ func TestMonitorDiffsAndDedupe(t *testing.T) {
 	m, err := New(Options{
 		Seed:    3,
 		NoChurn: true,
-		Plans:   []Plan{{Kind: PlanIdentify, Every: 24 * time.Hour}},
+		Plans:   []Plan{{Kind: pipeline.Identify.Snapshot, Every: 24 * time.Hour}},
 	}, st)
 	if err != nil {
 		t.Fatalf("new monitor: %v", err)
@@ -184,7 +185,7 @@ func TestMonitorDiffsAndDedupe(t *testing.T) {
 	st2, _ := store.Open("")
 	m2, err := New(Options{
 		Seed:  3,
-		Plans: []Plan{{Kind: PlanIdentify, Every: 24 * time.Hour}},
+		Plans: []Plan{{Kind: pipeline.Identify.Snapshot, Every: 24 * time.Hour}},
 	}, st2)
 	if err != nil {
 		t.Fatalf("new monitor: %v", err)
@@ -212,7 +213,7 @@ func TestMonitorOverlapSuppression(t *testing.T) {
 		Tick:    24 * time.Hour,
 		// Due every 6h but executed at 24h ticks: each tick runs once
 		// and suppresses the three overlapped firings.
-		Plans: []Plan{{Kind: PlanIdentify, Every: 6 * time.Hour}},
+		Plans: []Plan{{Kind: pipeline.Identify.Snapshot, Every: 6 * time.Hour}},
 	}, st)
 	if err != nil {
 		t.Fatalf("new monitor: %v", err)
@@ -245,10 +246,10 @@ func TestMonitorRejectsBadPlans(t *testing.T) {
 	if _, err := New(Options{Plans: []Plan{{Kind: "bogus", Every: time.Hour}}}, st); err == nil {
 		t.Fatal("unknown plan kind accepted")
 	}
-	if _, err := New(Options{Plans: []Plan{{Kind: PlanIdentify}}}, st); err == nil {
+	if _, err := New(Options{Plans: []Plan{{Kind: pipeline.Identify.Snapshot}}}, st); err == nil {
 		t.Fatal("zero period accepted")
 	}
-	if _, err := New(Options{Plans: []Plan{{Kind: PlanIdentify, Every: time.Hour, JitterPct: 90}}}, st); err == nil {
+	if _, err := New(Options{Plans: []Plan{{Kind: pipeline.Identify.Snapshot, Every: time.Hour, JitterPct: 90}}}, st); err == nil {
 		t.Fatal("out-of-range jitter accepted")
 	}
 	if _, err := New(Options{}, nil); err == nil {
@@ -263,7 +264,7 @@ func BenchmarkMonitorTick(b *testing.B) {
 	}
 	m, err := New(Options{
 		Seed:  1,
-		Plans: []Plan{{Kind: PlanIdentify, Every: 24 * time.Hour}},
+		Plans: []Plan{{Kind: pipeline.Identify.Snapshot, Every: 24 * time.Hour}},
 	}, st)
 	if err != nil {
 		b.Fatalf("new monitor: %v", err)
@@ -291,7 +292,7 @@ func BenchmarkWatchFanout(b *testing.B) {
 			}
 		}()
 	}
-	ev := Event{Type: EventSnapshot, Kind: PlanIdentify, Plan: "identify"}
+	ev := Event{Type: EventSnapshot, Kind: pipeline.Identify.Snapshot, Plan: "identify"}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		brk.Publish(ev)

@@ -286,6 +286,9 @@ func (n *Network) AddHost(addr netip.Addr, name string, isp *ISP) (*Host, error)
 	}
 	h := &Host{network: n, addr: addr, name: strings.ToLower(name), isp: isp, listeners: make(map[uint16]*listener)}
 	n.hosts[addr] = h
+	if rs := n.realm; rs != nil && rs.building != nil && rs.realm.Contains(addr) {
+		rs.building[addr] = true
+	}
 	if h.name != "" {
 		n.dns[h.name] = addr
 		n.rdns[addr] = h.name
@@ -429,6 +432,7 @@ func (n *Network) dial(ctx context.Context, src *Host, dst netip.Addr, port uint
 	n.mu.RLock()
 	closed := n.closed
 	dstHost := n.hosts[dst]
+	building := n.realm != nil && n.realm.building[dst]
 	latency := n.dialLatency
 	n.mu.RUnlock()
 	if closed {
@@ -437,10 +441,12 @@ func (n *Network) dial(ctx context.Context, src *Host, dst netip.Addr, port uint
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if dstHost == nil {
-		// Cold realm address: build the host on first contact. This
-		// must happen before the interception decision so a lazy dial
-		// sees the same sameISP answer an eager build would.
+	if dstHost == nil || building {
+		// Cold realm address: build the host on first contact, or wait
+		// for the running materialization that registered it to mount
+		// its listeners. This must happen before the interception
+		// decision so a lazy dial sees the same sameISP answer an eager
+		// build would.
 		dstHost = n.materializeIfRealm(dst)
 	}
 	if latency > 0 {

@@ -59,6 +59,12 @@ type realmState struct {
 	// must stay removed, not quietly regenerate on the next dial.
 	mu           sync.Mutex
 	materialized map[netip.Addr]bool
+
+	// building is non-nil while a Materialize runs, and collects the
+	// realm addresses it has registered so far. Those hosts are in the
+	// hosts map but may not be listening yet, so a dial to one waits on
+	// matMu for the materialization to finish. Guarded by Network.mu.
+	building map[netip.Addr]bool
 }
 
 func (rs *realmState) done(addr netip.Addr) bool {
@@ -99,7 +105,8 @@ func (n *Network) Realm() Realm {
 // owns the address, returning the host (nil when addr is outside the
 // realm, was removed, or failed to materialize). Exactly one caller
 // runs Materialize for a given address; concurrent dialers for the
-// same cold address queue on matMu and find the host registered.
+// same cold address, or for a sibling the running materialization has
+// registered but not finished, queue on matMu and find the host built.
 func (n *Network) materializeIfRealm(addr netip.Addr) *Host {
 	n.mu.RLock()
 	rs := n.realm
@@ -116,7 +123,14 @@ func (n *Network) materializeIfRealm(addr netip.Addr) *Host {
 	if h != nil || rs.done(addr) {
 		return h
 	}
-	if err := rs.realm.Materialize(addr); err != nil {
+	n.mu.Lock()
+	rs.building = make(map[netip.Addr]bool)
+	n.mu.Unlock()
+	err := rs.realm.Materialize(addr)
+	n.mu.Lock()
+	rs.building = nil
+	n.mu.Unlock()
+	if err != nil {
 		return nil
 	}
 	rs.markDone(addr)

@@ -151,6 +151,116 @@ func TestRealmConcurrentDialSingleFlight(t *testing.T) {
 	}
 }
 
+// siblingRealm materializes its whole "ISP" (every address) in one
+// call, as the world's scale realm does, and parks between registering
+// the hosts and mounting their listeners until the test resumes it.
+type siblingRealm struct {
+	toyRealm
+	parked chan struct{} // closed once every host is registered
+	resume chan struct{} // listeners mount once this is closed
+	asked  chan struct{} // closed when a dial asks about the sibling while parked
+
+	waiting atomic.Bool
+	askOnce sync.Once
+	sibling netip.Addr
+}
+
+func (r *siblingRealm) Contains(addr netip.Addr) bool {
+	if addr == r.sibling && r.waiting.Load() {
+		r.askOnce.Do(func() { close(r.asked) })
+	}
+	return r.toyRealm.Contains(addr)
+}
+
+func (r *siblingRealm) Materialize(netip.Addr) error {
+	r.calls.Add(1)
+	var hosts []*Host
+	for i := 1; i <= r.n; i++ {
+		name, _ := r.ReverseLookup(r.addr(i))
+		h, err := r.net.AddHost(r.addr(i), name, nil)
+		if err != nil {
+			return err
+		}
+		hosts = append(hosts, h)
+	}
+	r.waiting.Store(true)
+	close(r.parked)
+	<-r.resume
+	r.waiting.Store(false)
+	for _, h := range hosts {
+		banner := fmt.Sprintf("BANNER %s\n", h.Addr())
+		if _, err := h.ServeHandler(80, Public, HandlerFunc(func(conn net.Conn, _ DialInfo) {
+			defer conn.Close()
+			io.WriteString(conn, banner)
+		})); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// TestRealmSiblingDialWaitsForMaterialization dials a sibling address
+// while the materialization that registered it is still mounting
+// listeners: the dial must wait for the build to finish, not reach the
+// half-built host and be refused.
+func TestRealmSiblingDialWaitsForMaterialization(t *testing.T) {
+	nw := New(nil)
+	defer nw.Close()
+	r := &siblingRealm{
+		toyRealm: toyRealm{net: nw, n: 2},
+		parked:   make(chan struct{}),
+		resume:   make(chan struct{}),
+		asked:    make(chan struct{}),
+	}
+	r.sibling = r.addr(2)
+	nw.SetRealm(r)
+	src, err := nw.AddHost(netip.MustParseAddr("198.51.100.1"), "probe.test", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	type result struct {
+		banner string
+		err    error
+	}
+	dial := func(addr netip.Addr, out chan<- result) {
+		c, err := src.Dial(context.Background(), addr, 80)
+		if err != nil {
+			out <- result{err: err}
+			return
+		}
+		defer c.Close()
+		line, err := bufio.NewReader(c).ReadString('\n')
+		out <- result{line, err}
+	}
+	first, sibling := make(chan result, 1), make(chan result, 1)
+	go dial(r.addr(1), first)
+	<-r.parked
+	go dial(r.sibling, sibling)
+
+	// The sibling dial either joins the materialization (asking the
+	// realm about its address) or returns early with what it found.
+	var early *result
+	select {
+	case <-r.asked:
+	case res := <-sibling:
+		early = &res
+	}
+	close(r.resume)
+	if early != nil {
+		t.Fatalf("sibling dial returned (%q, %v) while its host was half-built", early.banner, early.err)
+	}
+	for i, ch := range []chan result{first, sibling} {
+		res := <-ch
+		if want := fmt.Sprintf("BANNER %s\n", r.addr(i+1)); res.err != nil || res.banner != want {
+			t.Errorf("dial %s = (%q, %v), want %q", r.addr(i+1), res.banner, res.err, want)
+		}
+	}
+	if got := r.calls.Load(); got != 1 {
+		t.Fatalf("Materialize calls = %d, want 1", got)
+	}
+}
+
 func TestRealmResolveWithoutMaterializing(t *testing.T) {
 	nw, r, _ := newRealmNet(t, 4)
 	defer nw.Close()

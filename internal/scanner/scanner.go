@@ -61,8 +61,7 @@ func (b *Banner) Text() string {
 	return strings.ToLower(b.Hostname + "\n" + b.RawHead + "\n" + b.BodyExcerpt)
 }
 
-// Default probe bounds (used when neither the legacy fields nor the
-// engine config set them).
+// Default probe bounds (used when the engine config leaves them unset).
 const (
 	DefaultProbeTimeout   = 5 * time.Second
 	DefaultScanWorkers    = 32
@@ -70,9 +69,7 @@ const (
 )
 
 // Scanner probes hosts and builds an Index. Concurrency, timeout, retry
-// and observability knobs live in the shared engine Config; the legacy
-// Timeout/Workers fields remain honoured so struct-literal construction
-// keeps working.
+// and observability knobs live in the shared engine Config.
 type Scanner struct {
 	// Vantage is the host the scan originates from (a neutral,
 	// unfiltered network position).
@@ -81,12 +78,6 @@ type Scanner struct {
 	Ports []uint16
 	// BodyExcerptLen bounds indexed body bytes (default 2048).
 	BodyExcerptLen int
-	// Timeout bounds each probe (default 5s).
-	// Deprecated: set Config.Timeout (or use New with engine.WithTimeout).
-	Timeout time.Duration
-	// Workers bounds concurrent probes (default 32).
-	// Deprecated: set Config.Workers (or use New with engine.WithWorkers).
-	Workers int
 	// Config carries the shared execution knobs (workers, timeout, retry,
 	// stats, observer). The zero value uses the scanner defaults.
 	Config engine.Config
@@ -113,16 +104,10 @@ func (s *Scanner) excerptLen() int {
 	return DefaultBodyExcerptLen
 }
 
-// engineConfig resolves the effective execution config: explicit legacy
-// fields win over Config values, which win over the scan defaults.
+// engineConfig resolves the effective execution config: Config values
+// win over the scan defaults.
 func (s *Scanner) engineConfig() engine.Config {
 	cfg := s.Config
-	if s.Workers > 0 {
-		cfg.Workers = s.Workers
-	}
-	if s.Timeout > 0 {
-		cfg.Timeout = s.Timeout
-	}
 	cfg.Workers = cfg.WorkersOr(DefaultScanWorkers)
 	cfg.Timeout = cfg.TimeoutOr(DefaultProbeTimeout)
 	return cfg

@@ -12,6 +12,7 @@ import (
 
 	"filtermap/internal/cluster"
 	"filtermap/internal/monitor"
+	"filtermap/internal/pipeline"
 	"filtermap/internal/store"
 )
 
@@ -127,22 +128,13 @@ func (rt *clusterRuntime) stop() {
 }
 
 // clusterRequest maps a normalized pipeline request onto the cluster
-// wire request, carrying the effective world options. Only shardable
-// kinds map; confirm (single-use timeline) reports false.
-func (s *Server) clusterRequest(kind string, req any) (cluster.Request, bool) {
-	effective := worldConfigOf(req).options(s.opts.World)
-	switch r := req.(type) {
-	case *IdentifyRequest:
-		return cluster.Request{Kind: cluster.KindIdentify, World: effective, Products: r.Products, Countries: r.Countries}, true
-	case *CharacterizeRequest:
-		return cluster.Request{Kind: cluster.KindCharacterize, World: effective, ISPs: r.ISPs}, true
-	case *DiscoverRequest:
-		return cluster.Request{Kind: cluster.KindDiscover, World: effective, ISPs: r.ISPs, Rounds: r.Rounds, Budget: r.Budget}, true
-	case *MechanismsRequest:
-		return cluster.Request{Kind: cluster.KindMechanisms, World: effective, ISPs: r.ISPs}, true
+// wire request, carrying the effective world options.
+func (s *Server) clusterRequest(k *pipeline.Kind, req *Request) cluster.Request {
+	return cluster.Request{
+		Kind: k.Name, World: req.World.options(s.opts.World),
+		Products: req.Products, Countries: req.Countries,
+		ISPs: req.ISPs, Rounds: req.Rounds, Budget: req.Budget,
 	}
-	_ = kind
-	return cluster.Request{}, false
 }
 
 // recordClusterDoc is the coordinator's OnComplete hook: it appends the
@@ -151,8 +143,8 @@ func (s *Server) clusterRequest(kind string, req any) (cluster.Request, bool) {
 // consecutive content per (kind, config), so repeated runs of an
 // unchanged world cost one record.
 func (s *Server) recordClusterDoc(req cluster.Request, doc any) {
-	storeKind, err := storeKindFor(req.Kind)
-	if err != nil {
+	k, ok := pipeline.ByName(req.Kind)
+	if !ok || k.Snapshot == "" {
 		s.metrics.clusterAppendError()
 		return
 	}
@@ -162,7 +154,7 @@ func (s *Server) recordClusterDoc(req cluster.Request, doc any) {
 		return
 	}
 	meta, err := s.snaps.Append(store.Snapshot{
-		Kind:   storeKind,
+		Kind:   k.Snapshot,
 		At:     s.base.Clock.Now(),
 		Config: store.ConfigHash(req.World),
 		Note:   "cluster",

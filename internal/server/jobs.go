@@ -7,6 +7,8 @@ import (
 	"fmt"
 	"sync"
 	"time"
+
+	"filtermap/internal/pipeline"
 )
 
 // JobState is a job's lifecycle position.
@@ -30,9 +32,9 @@ var errShuttingDown = errors.New("server shutting down")
 // job is one background pipeline execution.
 type job struct {
 	id      string
-	kind    string
+	kind    *pipeline.Kind
 	key     string
-	req     any
+	req     *Request
 	ctx     context.Context
 	cancel  context.CancelFunc
 	done    chan struct{}
@@ -86,7 +88,7 @@ func newJobManager(workers int, now func() time.Time, run func(context.Context, 
 // submit enqueues a job, deduplicating against an active (queued or
 // running) job with the same canonical key. existing reports whether the
 // returned job predates this call.
-func (m *jobManager) submit(kind, key string, req any) (j *job, existing bool, err error) {
+func (m *jobManager) submit(kind *pipeline.Kind, key string, req *Request) (j *job, existing bool, err error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.closed {
@@ -292,7 +294,7 @@ func (m *jobManager) doc(j *job, includeResult bool) JobDoc {
 	defer m.mu.Unlock()
 	d := JobDoc{
 		ID:      j.id,
-		Kind:    j.kind,
+		Kind:    j.kind.Name,
 		State:   j.state,
 		Created: j.created,
 		Error:   j.errMsg,
@@ -306,12 +308,7 @@ func (m *jobManager) doc(j *job, includeResult bool) JobDoc {
 		d.Finished = &t
 	}
 	if j.state == JobDone {
-		var probe struct {
-			Degraded bool `json:"degraded"`
-		}
-		if json.Unmarshal(j.result, &probe) == nil {
-			d.Degraded = probe.Degraded
-		}
+		d.Degraded = degraded(j.result)
 		if includeResult {
 			d.Result = json.RawMessage(j.result)
 		}

@@ -36,30 +36,19 @@ import (
 	"net"
 	"net/http"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 
 	"filtermap/internal/cluster"
-	"filtermap/internal/confirm"
 	"filtermap/internal/engine"
-	"filtermap/internal/fingerprint"
 	"filtermap/internal/longitudinal"
 	"filtermap/internal/monitor"
+	"filtermap/internal/pipeline"
 	"filtermap/internal/report"
 	"filtermap/internal/scanner"
 	"filtermap/internal/store"
 	"filtermap/internal/version"
 	"filtermap/internal/world"
-)
-
-// Pipeline kinds accepted by the job and dispatch endpoints.
-const (
-	KindIdentify     = "identify"
-	KindConfirm      = "confirm"
-	KindCharacterize = "characterize"
-	KindDiscover     = "discover"
-	KindMechanisms   = "mechanisms"
 )
 
 // Options configures a Server. The zero value serves the default world
@@ -203,11 +192,11 @@ func New(opts Options, engOpts ...engine.Option) (*Server, error) {
 	// content-addressed and never go stale, so they stay.
 	s.broker = monitor.NewBroker(opts.WatchRetain)
 	s.snaps.OnAppend(func(meta store.Meta) {
-		pk, ok := pipelineKindFor(meta.Kind)
+		k, ok := pipeline.BySnapshot(meta.Kind)
 		if !ok {
 			return
 		}
-		s.metrics.cacheInvalidated(s.cache.invalidatePrefix(pk + ":" + meta.Config + ":"))
+		s.metrics.cacheInvalidated(s.cache.invalidatePrefix(k.Name + ":" + meta.Config + ":"))
 	})
 
 	if opts.Monitor != nil {
@@ -262,11 +251,9 @@ func New(opts Options, engOpts ...engine.Option) (*Server, error) {
 	handle := func(pattern string, h http.HandlerFunc) {
 		mux.Handle(pattern, s.instrument(pattern, h))
 	}
-	handle("POST /v1/identify", s.handleIdentify)
-	handle("POST /v1/confirm", s.handleConfirm)
-	handle("POST /v1/characterize", s.handleCharacterize)
-	handle("POST /v1/discover", s.handleDiscover)
-	handle("POST /v1/mechanisms", s.handleMechanisms)
+	for _, k := range pipeline.All() {
+		handle("POST /v1/"+k.Name, s.handlePipeline(k))
+	}
 	handle("POST /v1/jobs", s.handleJobSubmit)
 	handle("GET /v1/jobs", s.handleJobList)
 	handle("GET /v1/jobs/{id}", s.handleJobGet)
@@ -415,171 +402,51 @@ func (c WorldConfig) options(base world.Options) world.Options {
 	return base
 }
 
-// IdentifyRequest parameterizes POST /v1/identify.
-type IdentifyRequest struct {
-	// Products restricts the keyword fan-out (empty = all Table 2
-	// products).
-	Products []string `json:"products,omitempty"`
-	// Countries bounds the ccTLD fan-out (empty = every country in the
-	// banner index).
-	Countries []string `json:"countries,omitempty"`
+// Request parameterizes every pipeline endpoint: the kind's parameters
+// plus the world it runs under. Each kind reads only its own Params
+// fields, and normalize drops the rest, so a request encodes exactly
+// what its kind reads.
+type Request struct {
+	pipeline.Params
 	// World selects evasion scenarios; non-zero runs on a fresh world.
 	World WorldConfig `json:"world,omitempty"`
 }
 
-func (r *IdentifyRequest) normalize() error {
-	r.Products = sortDedupe(r.Products)
-	r.Countries = sortDedupe(r.Countries)
-	known := fingerprint.ShodanKeywords()
-	for _, p := range r.Products {
-		if _, ok := known[p]; !ok {
-			return badRequestf("unknown product %q", p)
+// normalize canonicalizes a decoded request for kind k. A kind that
+// needs the censoring roster gets World.Mechanisms forced on; the flag
+// participates in the request key via worldHash, so two clients that
+// differ only in whether they spelled it out coalesce.
+func (s *Server) normalize(k *pipeline.Kind, req *Request) error {
+	p, err := k.Normalize(req.Params)
+	if err != nil {
+		return badRequestf("%v", err)
+	}
+	req.Params = p
+	req.World.Mechanisms = req.World.Mechanisms || k.Roster
+	return s.validateCampaign(p.Campaign)
+}
+
+// parseRequest decodes and normalizes a kind's request body carried
+// inside another request (a job submission or a snapshot recording).
+func (s *Server) parseRequest(k *pipeline.Kind, raw json.RawMessage) (*Request, error) {
+	req := &Request{}
+	if len(raw) > 0 {
+		if err := json.Unmarshal(raw, req); err != nil {
+			return nil, badRequestf("bad %s request: %v", k.Name, err)
 		}
 	}
-	return nil
-}
-
-// ConfirmRequest parameterizes POST /v1/confirm.
-type ConfirmRequest struct {
-	// Campaign selects one Table 3 case study by key (empty = all ten,
-	// chronologically).
-	Campaign string `json:"campaign,omitempty"`
-	// World selects evasion scenarios for the campaign world.
-	World WorldConfig `json:"world,omitempty"`
-}
-
-func (r *ConfirmRequest) normalize() error {
-	r.Campaign = strings.TrimSpace(r.Campaign)
-	return nil
-}
-
-// CharacterizeRequest parameterizes POST /v1/characterize.
-type CharacterizeRequest struct {
-	// ISPs restricts the §5 targets (empty = all confirmed deployments).
-	ISPs []string `json:"isps,omitempty"`
-	// World selects evasion scenarios for the run's world.
-	World WorldConfig `json:"world,omitempty"`
-}
-
-func (r *CharacterizeRequest) normalize() error {
-	r.ISPs = sortDedupe(r.ISPs)
-	known := make(map[string]bool)
-	for _, t := range world.CharacterizationTargets() {
-		known[t.ISP] = true
+	if err := s.normalize(k, req); err != nil {
+		return nil, err
 	}
-	for _, isp := range r.ISPs {
-		if !known[isp] {
-			return badRequestf("unknown characterization ISP %q", isp)
-		}
-	}
-	return nil
-}
-
-// DiscoverRequest parameterizes POST /v1/discover.
-type DiscoverRequest struct {
-	// ISPs restricts the crawl targets (empty = all confirmed
-	// deployments).
-	ISPs []string `json:"isps,omitempty"`
-	// Rounds and Budget cap each target's crawl (0 = discovery package
-	// defaults).
-	Rounds int `json:"rounds,omitempty"`
-	Budget int `json:"budget,omitempty"`
-	// World selects evasion scenarios for the run's world.
-	World WorldConfig `json:"world,omitempty"`
-}
-
-func (r *DiscoverRequest) normalize() error {
-	r.ISPs = sortDedupe(r.ISPs)
-	known := make(map[string]bool)
-	for _, t := range world.CharacterizationTargets() {
-		known[t.ISP] = true
-	}
-	for _, isp := range r.ISPs {
-		if !known[isp] {
-			return badRequestf("unknown discovery ISP %q", isp)
-		}
-	}
-	if r.Rounds < 0 {
-		return badRequestf("rounds must be >= 0, got %d", r.Rounds)
-	}
-	if r.Budget < 0 {
-		return badRequestf("budget must be >= 0, got %d", r.Budget)
-	}
-	return nil
-}
-
-// MechanismsRequest parameterizes POST /v1/mechanisms.
-type MechanismsRequest struct {
-	// ISPs restricts the survey to named roster ISPs (empty = the whole
-	// mechanism roster).
-	ISPs []string `json:"isps,omitempty"`
-	// World selects evasion scenarios; normalize forces World.Mechanisms
-	// on, since the survey is meaningless without the censoring roster.
-	World WorldConfig `json:"world,omitempty"`
-}
-
-func (r *MechanismsRequest) normalize() error {
-	r.ISPs = sortDedupe(r.ISPs)
-	known := make(map[string]bool)
-	for _, isp := range world.MechanismRosterISPs() {
-		known[isp] = true
-	}
-	for _, isp := range r.ISPs {
-		if !known[isp] {
-			return badRequestf("unknown mechanism-roster ISP %q", isp)
-		}
-	}
-	// The flag participates in the request key via worldHash, so two
-	// clients that differ only in whether they spelled it out coalesce.
-	r.World.Mechanisms = true
-	return nil
-}
-
-func sortDedupe(in []string) []string {
-	if len(in) == 0 {
-		return nil
-	}
-	seen := make(map[string]bool, len(in))
-	out := make([]string, 0, len(in))
-	for _, s := range in {
-		s = strings.TrimSpace(s)
-		if s == "" || seen[s] {
-			continue
-		}
-		seen[s] = true
-		out = append(out, s)
-	}
-	sort.Strings(out)
-	if len(out) == 0 {
-		return nil
-	}
-	return out
-}
-
-// worldConfigOf extracts a request's evasion overlay (zero value when
-// the request type carries none).
-func worldConfigOf(req any) WorldConfig {
-	switch r := req.(type) {
-	case *IdentifyRequest:
-		return r.World
-	case *ConfirmRequest:
-		return r.World
-	case *CharacterizeRequest:
-		return r.World
-	case *DiscoverRequest:
-		return r.World
-	case *MechanismsRequest:
-		return r.World
-	}
-	return WorldConfig{}
+	return req, nil
 }
 
 // worldHash is the fingerprint of the effective world.Options a request
 // runs under: the request's evasion overlay applied to the server's base
 // options. It is the same hash the snapshot store records, so a cached
 // body and a persisted snapshot of the same run share a config identity.
-func (s *Server) worldHash(req any) string {
-	return store.ConfigHash(worldConfigOf(req).options(s.opts.World))
+func (s *Server) worldHash(req *Request) string {
+	return store.ConfigHash(req.World.options(s.opts.World))
 }
 
 // requestKey derives the cache/singleflight key from a normalized
@@ -588,14 +455,14 @@ func (s *Server) worldHash(req any) string {
 // the request overlay) keeps results from one base-world configuration
 // from being served after the server is restarted onto another — two
 // servers with different seeds or evasion baselines never share keys.
-func (s *Server) requestKey(kind string, req any) string {
+func (s *Server) requestKey(k *pipeline.Kind, req *Request) string {
 	b, err := json.Marshal(req)
 	if err != nil {
-		// Request types marshal by construction; a failure here is a
+		// Requests marshal by construction; a failure here is a
 		// programming error, and an unshareable key is the safe fallback.
-		return kind + ":unmarshalable"
+		return k.Name + ":unmarshalable"
 	}
-	return kind + ":" + s.worldHash(req) + ":" + string(b)
+	return k.Name + ":" + s.worldHash(req) + ":" + string(b)
 }
 
 // ---- dispatch: cache -> singleflight -> pipeline ----
@@ -603,14 +470,14 @@ func (s *Server) requestKey(kind string, req any) string {
 // cachedRun executes kind once per canonical key: concurrent identical
 // requests share one pipeline run via singleflight, and completed
 // results live in the TTL cache.
-func (s *Server) cachedRun(ctx context.Context, kind, key string, req any) ([]byte, error) {
+func (s *Server) cachedRun(ctx context.Context, k *pipeline.Kind, key string, req *Request) ([]byte, error) {
 	val, err, shared := s.flight.do(key, func() ([]byte, error) {
 		if val, ok := s.cache.get(key); ok {
 			s.metrics.cacheHit()
 			return val, nil
 		}
 		s.metrics.cacheMiss()
-		val, err := s.execute(ctx, kind, req)
+		val, err := s.execute(ctx, k, req)
 		if err != nil {
 			return nil, err
 		}
@@ -623,109 +490,65 @@ func (s *Server) cachedRun(ctx context.Context, kind, key string, req any) ([]by
 	return val, err
 }
 
-// execute runs one pipeline and marshals its document.
-func (s *Server) execute(ctx context.Context, kind string, req any) ([]byte, error) {
+// execute runs one pipeline — fanned out to the cluster when the server
+// coordinates one and the kind shards — and marshals its document.
+func (s *Server) execute(ctx context.Context, k *pipeline.Kind, req *Request) ([]byte, error) {
 	if s.execHook != nil {
-		if err := s.execHook(ctx, kind); err != nil {
+		if err := s.execHook(ctx, k.Name); err != nil {
 			return nil, err
 		}
 	}
-	s.metrics.run(kind)
+	s.metrics.run(k.Name)
 	var doc any
 	var err error
-	if s.clusterRt != nil {
-		if creq, ok := s.clusterRequest(kind, req); ok {
-			doc, err = s.clusterRt.coord.Run(ctx, creq)
-			if err != nil {
-				return nil, err
-			}
-			if docDegraded(doc) {
-				s.metrics.runDegraded(kind)
-			}
-			return json.Marshal(doc)
-		}
-	}
-	switch kind {
-	case KindIdentify:
-		doc, err = s.runIdentify(ctx, req.(*IdentifyRequest))
-	case KindConfirm:
-		doc, err = s.runConfirm(ctx, req.(*ConfirmRequest))
-	case KindCharacterize:
-		doc, err = s.runCharacterize(ctx, req.(*CharacterizeRequest))
-	case KindDiscover:
-		doc, err = s.runDiscover(ctx, req.(*DiscoverRequest))
-	case KindMechanisms:
-		doc, err = s.runMechanisms(ctx, req.(*MechanismsRequest))
-	default:
-		err = badRequestf("unknown kind %q", kind)
+	if s.clusterRt != nil && k.Shardable() {
+		doc, err = s.clusterRt.coord.Run(ctx, s.clusterRequest(k, req))
+	} else {
+		doc, err = s.run(ctx, k, req)
 	}
 	if err != nil {
 		return nil, err
 	}
-	if docDegraded(doc) {
-		s.metrics.runDegraded(kind)
+	val, err := json.Marshal(doc)
+	if err != nil {
+		return nil, err
 	}
-	return json.Marshal(doc)
+	if degraded(val) {
+		s.metrics.runDegraded(k.Name)
+	}
+	return val, nil
 }
 
-// docDegraded reports whether a pipeline document carries the Degraded
-// marker — the run completed on partial results.
-func docDegraded(doc any) bool {
-	switch d := doc.(type) {
-	case report.IdentifyDoc:
-		return d.Degraded
-	case report.Table3Doc:
-		return d.Degraded
-	case report.Table4Doc:
-		return d.Degraded
-	case report.DiscoveryDoc:
-		return d.Degraded
-	case report.MechanismsDoc:
-		return d.Degraded
-	default:
-		return false
+// degraded reports whether a pipeline document carries the top-level
+// degraded marker — the run completed on partial results.
+func degraded(doc []byte) bool {
+	var probe struct {
+		Degraded bool `json:"degraded"`
 	}
+	return json.Unmarshal(doc, &probe) == nil && probe.Degraded
 }
 
-// runIdentify executes the §3 pipeline. Default-world requests reuse the
-// base world and its once-scanned banner index — the cached hot path;
-// evasion-configured requests scan a dedicated world.
-func (s *Server) runIdentify(ctx context.Context, req *IdentifyRequest) (report.IdentifyDoc, error) {
-	w := s.base
-	var index *scanner.Index
-	if req.World.zero() {
-		var err error
-		if index, err = s.sharedIndex(ctx); err != nil {
-			return report.IdentifyDoc{}, err
-		}
-	} else {
-		fresh, err := world.Build(req.World.options(s.opts.World), s.engOpts...)
+// run executes one pipeline in-process. A default-world request of an
+// indexed kind (identify) reuses the base world and its once-scanned
+// banner index — the cached hot path. Every other run gets a fresh
+// world: campaigns consume the virtual timeline, and evasion overlays
+// need their own world.
+func (s *Server) run(ctx context.Context, k *pipeline.Kind, req *Request) (any, error) {
+	if k.Indexed && req.World.zero() {
+		idx, err := s.sharedIndex(ctx)
 		if err != nil {
-			return report.IdentifyDoc{}, err
+			return nil, err
 		}
-		defer fresh.Close()
-		w = fresh
+		res, err := k.Run(ctx, s.base, idx, req.Params)
+		return res.Doc, err
 	}
-	p, err := w.IdentifyPipeline(ctx, index)
+	w, err := k.Build(req.World.options(s.opts.World), s.engOpts...)
 	if err != nil {
-		return report.IdentifyDoc{}, err
+		return nil, err
 	}
-	if len(req.Products) > 0 {
-		all := fingerprint.ShodanKeywords()
-		kw := make(map[string][]string, len(req.Products))
-		for _, prod := range req.Products {
-			kw[prod] = all[prod]
-		}
-		p.Keywords = kw
-	}
-	if len(req.Countries) > 0 {
-		p.Countries = req.Countries
-	}
-	rep, err := p.Run(ctx)
-	if err != nil {
-		return report.IdentifyDoc{}, err
-	}
-	return report.IdentifyJSON(rep), nil
+	defer w.Close()
+	res, err := k.Run(ctx, w, nil, req.Params)
+	return res.Doc, err
 }
 
 // sharedIndex scans the base world's address space once and reuses the
@@ -743,132 +566,21 @@ func (s *Server) sharedIndex(ctx context.Context) (*scanner.Index, error) {
 	return s.baseIdx, nil
 }
 
-// runConfirm executes §4 campaigns, always on a fresh world: a campaign
-// advances the virtual clock and feeds vendor submission queues, so the
-// timeline is single-use.
-func (s *Server) runConfirm(ctx context.Context, req *ConfirmRequest) (report.Table3Doc, error) {
-	w, err := world.Build(req.World.options(s.opts.World), s.engOpts...)
-	if err != nil {
-		return report.Table3Doc{}, err
-	}
-	defer w.Close()
-	if req.Campaign == "" {
-		outcomes, err := w.RunTable3(ctx)
-		if err != nil {
-			return report.Table3Doc{}, err
-		}
-		return report.Table3JSON(outcomes), nil
-	}
-	outcome, err := w.RunPlan(ctx, req.Campaign)
-	if err != nil {
-		if errors.Is(err, world.ErrUnknownPlan) {
-			return report.Table3Doc{}, badRequestf("unknown campaign %q", req.Campaign)
-		}
-		return report.Table3Doc{}, err
-	}
-	return report.Table3JSON([]*confirm.Outcome{outcome}), nil
-}
-
-// runCharacterize executes §5 on a fresh world positioned the same way
-// fmcharacterize positions it (clock at +8h, Yemen license window
-// active), so results match the CLI and stay deterministic per request.
-func (s *Server) runCharacterize(ctx context.Context, req *CharacterizeRequest) (report.Table4Doc, error) {
-	w, err := world.Build(req.World.options(s.opts.World), s.engOpts...)
-	if err != nil {
-		return report.Table4Doc{}, err
-	}
-	defer w.Close()
-	w.Clock.Advance(8 * time.Hour)
-	reports, err := w.RunCharacterizationFor(ctx, req.ISPs)
-	if err != nil {
-		return report.Table4Doc{}, err
-	}
-	return report.Table4JSON(reports), nil
-}
-
-// runDiscover executes the discovery crawl on a fresh world positioned
-// like characterization (clock at +8h, Yemen license window active), so
-// results match fmdiscover and stay deterministic per request.
-func (s *Server) runDiscover(ctx context.Context, req *DiscoverRequest) (report.DiscoveryDoc, error) {
-	w, err := world.Build(req.World.options(s.opts.World), s.engOpts...)
-	if err != nil {
-		return report.DiscoveryDoc{}, err
-	}
-	defer w.Close()
-	w.Clock.Advance(8 * time.Hour)
-	targets, err := w.RunDiscovery(ctx, world.DiscoveryOptions{
-		ISPs:   req.ISPs,
-		Rounds: req.Rounds,
-		Budget: req.Budget,
-	})
-	if err != nil {
-		return report.DiscoveryDoc{}, err
-	}
-	return discoveryDoc(req.Rounds, req.Budget, targets), nil
-}
-
-// discoveryDoc builds the discovery document from world targets.
-func discoveryDoc(rounds, budget int, targets []world.TargetDiscovery) report.DiscoveryDoc {
-	rts := make([]report.DiscoveryTarget, 0, len(targets))
-	for _, t := range targets {
-		rts = append(rts, report.DiscoveryTarget{Country: t.Country, ISP: t.ISP, ASN: t.ASN, Report: t.Report})
-	}
-	return report.DiscoveryJSON(rounds, budget, rts, world.DiscoveredList(targets))
-}
-
-// runMechanisms executes the mechanism survey on a fresh world with the
-// censoring-ISP roster enabled (normalize guarantees World.Mechanisms),
-// probing each roster ISP's blocked domains over DNS, raw-TCP, and TLS.
-func (s *Server) runMechanisms(ctx context.Context, req *MechanismsRequest) (report.MechanismsDoc, error) {
-	w, err := world.Build(req.World.options(s.opts.World), s.engOpts...)
-	if err != nil {
-		return report.MechanismsDoc{}, err
-	}
-	defer w.Close()
-	targets, err := w.RunMechanismSurveyFor(ctx, req.ISPs)
-	if err != nil {
-		return report.MechanismsDoc{}, err
-	}
-	return mechanismsDoc(targets), nil
-}
-
-// mechanismsDoc builds the mechanism document from world targets.
-func mechanismsDoc(targets []world.MechanismSurveyTarget) report.MechanismsDoc {
-	rts := make([]report.MechanismTarget, 0, len(targets))
-	for _, t := range targets {
-		rts = append(rts, report.MechanismTarget{Country: t.Country, ISP: t.ISP, ASN: t.ASN, Results: t.Results})
-	}
-	return report.MechanismsJSON(rts)
-}
-
 // ---- handlers ----
 
-func (s *Server) handleIdentify(w http.ResponseWriter, r *http.Request) {
-	var req IdentifyRequest
-	if !s.decodeBody(w, r, &req) {
-		return
+// handlePipeline serves POST /v1/{kind}.
+func (s *Server) handlePipeline(k *pipeline.Kind) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		var req Request
+		if !s.decodeBody(w, r, &req) {
+			return
+		}
+		if err := s.normalize(k, &req); err != nil {
+			jsonError(w, http.StatusBadRequest, err.Error())
+			return
+		}
+		s.dispatch(w, r, k, &req)
 	}
-	if err := req.normalize(); err != nil {
-		jsonError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	s.dispatch(w, r, KindIdentify, &req)
-}
-
-func (s *Server) handleConfirm(w http.ResponseWriter, r *http.Request) {
-	var req ConfirmRequest
-	if !s.decodeBody(w, r, &req) {
-		return
-	}
-	if err := req.normalize(); err != nil {
-		jsonError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	if err := s.validateCampaign(req.Campaign); err != nil {
-		jsonError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	s.dispatch(w, r, KindConfirm, &req)
 }
 
 // validateCampaign rejects unknown campaign keys against the base
@@ -885,55 +597,19 @@ func (s *Server) validateCampaign(key string) error {
 	return badRequestf("unknown campaign %q", key)
 }
 
-func (s *Server) handleCharacterize(w http.ResponseWriter, r *http.Request) {
-	var req CharacterizeRequest
-	if !s.decodeBody(w, r, &req) {
-		return
-	}
-	if err := req.normalize(); err != nil {
-		jsonError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	s.dispatch(w, r, KindCharacterize, &req)
-}
-
-func (s *Server) handleDiscover(w http.ResponseWriter, r *http.Request) {
-	var req DiscoverRequest
-	if !s.decodeBody(w, r, &req) {
-		return
-	}
-	if err := req.normalize(); err != nil {
-		jsonError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	s.dispatch(w, r, KindDiscover, &req)
-}
-
-func (s *Server) handleMechanisms(w http.ResponseWriter, r *http.Request) {
-	var req MechanismsRequest
-	if !s.decodeBody(w, r, &req) {
-		return
-	}
-	if err := req.normalize(); err != nil {
-		jsonError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	s.dispatch(w, r, KindMechanisms, &req)
-}
-
 // dispatch implements the pipeline endpoints' contract: synchronous when
 // the result is cached, otherwise enqueued as a background job (202 +
 // Location) — unless ?wait=1, which blocks through the singleflight for
 // the result.
-func (s *Server) dispatch(w http.ResponseWriter, r *http.Request, kind string, req any) {
-	key := s.requestKey(kind, req)
+func (s *Server) dispatch(w http.ResponseWriter, r *http.Request, k *pipeline.Kind, req *Request) {
+	key := s.requestKey(k, req)
 	if val, ok := s.cache.get(key); ok {
 		s.metrics.cacheHit()
 		writeRawJSON(w, http.StatusOK, s.maybeAttachStats(r, val))
 		return
 	}
 	if wantsWait(r) {
-		val, err := s.cachedRun(r.Context(), kind, key, req)
+		val, err := s.cachedRun(r.Context(), k, key, req)
 		if err != nil {
 			jsonError(w, errorStatus(err), err.Error())
 			return
@@ -941,7 +617,7 @@ func (s *Server) dispatch(w http.ResponseWriter, r *http.Request, kind string, r
 		writeRawJSON(w, http.StatusOK, s.maybeAttachStats(r, val))
 		return
 	}
-	j, existing, err := s.jobs.submit(kind, key, req)
+	j, existing, err := s.jobs.submit(k, key, req)
 	if err != nil {
 		jsonError(w, http.StatusServiceUnavailable, err.Error())
 		return
@@ -973,13 +649,17 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	if !s.decodeBody(w, r, &body) {
 		return
 	}
-	req, err := s.parseKindRequest(body.Kind, body.Request)
+	k, ok := pipeline.ByName(body.Kind)
+	if !ok {
+		jsonError(w, http.StatusBadRequest, fmt.Sprintf("unknown job kind %q", body.Kind))
+		return
+	}
+	req, err := s.parseRequest(k, body.Request)
 	if err != nil {
 		jsonError(w, errorStatus(err), err.Error())
 		return
 	}
-	key := s.requestKey(body.Kind, req)
-	j, existing, err := s.jobs.submit(body.Kind, key, req)
+	j, existing, err := s.jobs.submit(k, s.requestKey(k, req), req)
 	if err != nil {
 		jsonError(w, http.StatusServiceUnavailable, err.Error())
 		return
@@ -990,42 +670,6 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		status = http.StatusOK
 	}
 	writeJSON(w, status, s.jobs.doc(j, false))
-}
-
-// parseKindRequest decodes and normalizes a kind-specific request body.
-func (s *Server) parseKindRequest(kind string, raw json.RawMessage) (any, error) {
-	unmarshal := func(v interface{ normalize() error }) (any, error) {
-		if len(raw) > 0 {
-			if err := json.Unmarshal(raw, v); err != nil {
-				return nil, badRequestf("bad %s request: %v", kind, err)
-			}
-		}
-		if err := v.normalize(); err != nil {
-			return nil, err
-		}
-		return v, nil
-	}
-	switch kind {
-	case KindIdentify:
-		return unmarshal(&IdentifyRequest{})
-	case KindConfirm:
-		req, err := unmarshal(&ConfirmRequest{})
-		if err != nil {
-			return nil, err
-		}
-		if err := s.validateCampaign(req.(*ConfirmRequest).Campaign); err != nil {
-			return nil, err
-		}
-		return req, nil
-	case KindCharacterize:
-		return unmarshal(&CharacterizeRequest{})
-	case KindDiscover:
-		return unmarshal(&DiscoverRequest{})
-	case KindMechanisms:
-		return unmarshal(&MechanismsRequest{})
-	default:
-		return nil, badRequestf("unknown job kind %q", kind)
-	}
 }
 
 func (s *Server) handleJobList(w http.ResponseWriter, r *http.Request) {
@@ -1068,15 +712,15 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 	case "table1":
 		writeJSON(w, http.StatusOK, report.Table1JSON())
 	case "table3":
-		s.serveCached(w, r, KindConfirm, &ConfirmRequest{}, nil)
+		s.serveCached(w, r, pipeline.Confirm, &Request{}, nil)
 	case "table4":
-		s.serveCached(w, r, KindCharacterize, &CharacterizeRequest{}, nil)
+		s.serveCached(w, r, pipeline.Characterize, &Request{}, nil)
 	case "mechanisms":
-		s.serveCached(w, r, KindMechanisms, &MechanismsRequest{World: WorldConfig{Mechanisms: true}}, nil)
+		s.serveCached(w, r, pipeline.Mechanisms, &Request{World: WorldConfig{Mechanisms: true}}, nil)
 	case "figure1":
-		s.serveCached(w, r, KindIdentify, &IdentifyRequest{}, nil)
+		s.serveCached(w, r, pipeline.Identify, &Request{}, nil)
 	case "installations":
-		s.serveCached(w, r, KindIdentify, &IdentifyRequest{}, func(val []byte) (any, error) {
+		s.serveCached(w, r, pipeline.Identify, &Request{}, func(val []byte) (any, error) {
 			var doc report.IdentifyDoc
 			if err := json.Unmarshal(val, &doc); err != nil {
 				return nil, err
@@ -1090,14 +734,14 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 
 // serveCached runs a default-parameter pipeline through the cache and
 // optionally reshapes the cached document before responding.
-func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, kind string, req any, reshape func([]byte) (any, error)) {
-	key := s.requestKey(kind, req)
+func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, k *pipeline.Kind, req *Request, reshape func([]byte) (any, error)) {
+	key := s.requestKey(k, req)
 	if val, ok := s.cache.get(key); ok {
 		s.metrics.cacheHit()
 		s.respondMaybeReshaped(w, r, val, reshape)
 		return
 	}
-	val, err := s.cachedRun(r.Context(), kind, key, req)
+	val, err := s.cachedRun(r.Context(), k, key, req)
 	if err != nil {
 		jsonError(w, errorStatus(err), err.Error())
 		return
@@ -1230,6 +874,9 @@ func errorStatus(err error) int {
 	var se *statusError
 	if errors.As(err, &se) {
 		return se.code
+	}
+	if errors.Is(err, world.ErrUnknownPlan) {
+		return http.StatusBadRequest
 	}
 	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 		return http.StatusServiceUnavailable

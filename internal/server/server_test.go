@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"filtermap/internal/pipeline"
 	"filtermap/internal/report"
 )
 
@@ -113,7 +114,7 @@ func TestIdentifyEndToEnd(t *testing.T) {
 	// A parameterized request is a different cache key: it gets enqueued.
 	var jd JobDoc
 	resp = doJSON(t, http.MethodPost, ts.URL+"/v1/identify",
-		IdentifyRequest{Countries: []string{"YE"}}, &jd)
+		pipeline.Params{Countries: []string{"YE"}}, &jd)
 	wantStatus(t, resp, http.StatusAccepted)
 	if loc := resp.Header.Get("Location"); loc != "/v1/jobs/"+jd.ID {
 		t.Fatalf("Location = %q, want /v1/jobs/%s", loc, jd.ID)
@@ -141,8 +142,8 @@ func TestIdentifyEndToEnd(t *testing.T) {
 	var md MetricsDoc
 	resp = doJSON(t, http.MethodGet, ts.URL+"/metrics", nil, &md)
 	wantStatus(t, resp, http.StatusOK)
-	if md.Runs[KindIdentify] != 2 {
-		t.Fatalf("identify runs = %d, want 2 (default + YE-only)", md.Runs[KindIdentify])
+	if md.Runs[pipeline.Identify.Name] != 2 {
+		t.Fatalf("identify runs = %d, want 2 (default + YE-only)", md.Runs[pipeline.Identify.Name])
 	}
 	if md.Cache.Hits == 0 {
 		t.Fatalf("cache hits = 0, want > 0: %+v", md.Cache)
@@ -155,7 +156,7 @@ func TestIdentifyEndToEnd(t *testing.T) {
 func TestIdentifyRejectsUnknownProduct(t *testing.T) {
 	_, ts := newTestServer(t, Options{})
 	resp := doJSON(t, http.MethodPost, ts.URL+"/v1/identify?wait=1",
-		IdentifyRequest{Products: []string{"NotAProduct"}}, nil)
+		pipeline.Params{Products: []string{"NotAProduct"}}, nil)
 	wantStatus(t, resp, http.StatusBadRequest)
 }
 
@@ -163,7 +164,7 @@ func TestConfirmSingleCampaign(t *testing.T) {
 	_, ts := newTestServer(t, Options{})
 	var doc report.Table3Doc
 	resp := doJSON(t, http.MethodPost, ts.URL+"/v1/confirm?wait=1",
-		ConfirmRequest{Campaign: "smartfilter-saudi-bayanat"}, &doc)
+		pipeline.Params{Campaign: "smartfilter-saudi-bayanat"}, &doc)
 	wantStatus(t, resp, http.StatusOK)
 	if len(doc.Rows) != 1 {
 		t.Fatalf("rows = %d, want 1", len(doc.Rows))
@@ -177,7 +178,7 @@ func TestConfirmSingleCampaign(t *testing.T) {
 	}
 
 	resp = doJSON(t, http.MethodPost, ts.URL+"/v1/confirm?wait=1",
-		ConfirmRequest{Campaign: "no-such-campaign"}, nil)
+		pipeline.Params{Campaign: "no-such-campaign"}, nil)
 	wantStatus(t, resp, http.StatusBadRequest)
 }
 
@@ -185,7 +186,7 @@ func TestCharacterizeEndpoint(t *testing.T) {
 	_, ts := newTestServer(t, Options{})
 	var doc report.Table4Doc
 	resp := doJSON(t, http.MethodPost, ts.URL+"/v1/characterize?wait=1",
-		CharacterizeRequest{ISPs: []string{"YemenNet"}}, &doc)
+		pipeline.Params{ISPs: []string{"YemenNet"}}, &doc)
 	wantStatus(t, resp, http.StatusOK)
 	if len(doc.Reports) != 1 || doc.Reports[0].Country != "YE" {
 		t.Fatalf("unexpected reports: %+v", doc.Reports)
@@ -195,7 +196,7 @@ func TestCharacterizeEndpoint(t *testing.T) {
 	}
 
 	resp = doJSON(t, http.MethodPost, ts.URL+"/v1/characterize?wait=1",
-		CharacterizeRequest{ISPs: []string{"NoSuchISP"}}, nil)
+		pipeline.Params{ISPs: []string{"NoSuchISP"}}, nil)
 	wantStatus(t, resp, http.StatusBadRequest)
 }
 
@@ -203,7 +204,7 @@ func TestMechanismsEndpoint(t *testing.T) {
 	srv, ts := newTestServer(t, Options{})
 	var doc report.MechanismsDoc
 	resp := doJSON(t, http.MethodPost, ts.URL+"/v1/mechanisms?wait=1",
-		MechanismsRequest{ISPs: []string{"Nayatel"}}, &doc)
+		pipeline.Params{ISPs: []string{"Nayatel"}}, &doc)
 	wantStatus(t, resp, http.StatusOK)
 	if len(doc.Mechanisms) != 1 || doc.Mechanisms[0].ISP != "Nayatel" {
 		t.Fatalf("unexpected mechanisms doc: %+v", doc.Mechanisms)
@@ -222,21 +223,56 @@ func TestMechanismsEndpoint(t *testing.T) {
 	}
 
 	resp = doJSON(t, http.MethodPost, ts.URL+"/v1/mechanisms?wait=1",
-		MechanismsRequest{ISPs: []string{"NoSuchISP"}}, nil)
+		pipeline.Params{ISPs: []string{"NoSuchISP"}}, nil)
 	wantStatus(t, resp, http.StatusBadRequest)
 
 	// normalize forces World.Mechanisms on, so a request that spells the
 	// flag out coalesces onto the same cache key as one that omits it.
-	a := &MechanismsRequest{ISPs: []string{"Nayatel"}}
-	b := &MechanismsRequest{ISPs: []string{"Nayatel"}, World: WorldConfig{Mechanisms: true}}
-	if err := a.normalize(); err != nil {
+	a := &Request{Params: pipeline.Params{ISPs: []string{"Nayatel"}}}
+	b := &Request{Params: pipeline.Params{ISPs: []string{"Nayatel"}}, World: WorldConfig{Mechanisms: true}}
+	if err := srv.normalize(pipeline.Mechanisms, a); err != nil {
 		t.Fatalf("normalize a: %v", err)
 	}
-	if err := b.normalize(); err != nil {
+	if err := srv.normalize(pipeline.Mechanisms, b); err != nil {
 		t.Fatalf("normalize b: %v", err)
 	}
-	if ka, kb := srv.requestKey(KindMechanisms, a), srv.requestKey(KindMechanisms, b); ka != kb {
+	if ka, kb := srv.requestKey(pipeline.Mechanisms, a), srv.requestKey(pipeline.Mechanisms, b); ka != kb {
 		t.Fatalf("request keys differ:\n  %s\n  %s", ka, kb)
+	}
+}
+
+// TestRequestEncodingPerKind pins the request half of every cache key:
+// a normalized request encodes exactly the fields its kind reads, in
+// the order the per-kind request types used to, and drops the rest.
+func TestRequestEncodingPerKind(t *testing.T) {
+	srv, _ := newTestServer(t, Options{})
+	cases := []struct {
+		kind       *pipeline.Kind
+		body, want string
+	}{
+		{pipeline.Identify, `{"isps":["YemenNet"],"countries":["YE"],"rounds":2,"products":["Netsweeper"]}`,
+			`{"products":["Netsweeper"],"countries":["YE"],"world":{}}`},
+		{pipeline.Confirm, `{"products":["Netsweeper"],"campaign":"smartfilter-saudi-bayanat"}`,
+			`{"campaign":"smartfilter-saudi-bayanat","world":{}}`},
+		{pipeline.Characterize, `{"countries":["YE"],"isps":["YemenNet"],"rounds":2}`,
+			`{"isps":["YemenNet"],"world":{}}`},
+		{pipeline.Discover, `{"products":["Netsweeper"],"budget":40,"rounds":2,"isps":["YemenNet"]}`,
+			`{"isps":["YemenNet"],"rounds":2,"budget":40,"world":{}}`},
+		{pipeline.Mechanisms, `{"budget":40,"isps":["Nayatel"]}`,
+			`{"isps":["Nayatel"],"world":{"mechanisms":true}}`},
+	}
+	for _, c := range cases {
+		req, err := srv.parseRequest(c.kind, json.RawMessage(c.body))
+		if err != nil {
+			t.Fatalf("%s: %v", c.kind.Name, err)
+		}
+		got, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != c.want {
+			t.Errorf("%s request encodes as %s, want %s", c.kind.Name, got, c.want)
+		}
 	}
 }
 
@@ -252,8 +288,8 @@ func TestWorldConfigMechanismsOmittedWhenUnset(t *testing.T) {
 		t.Fatalf("zero WorldConfig leaks the mechanisms key: %s", b)
 	}
 	srv, _ := newTestServer(t, Options{})
-	plain := srv.requestKey(KindIdentify, &IdentifyRequest{})
-	withMech := srv.requestKey(KindIdentify, &IdentifyRequest{World: WorldConfig{Mechanisms: true}})
+	plain := srv.requestKey(pipeline.Identify, &Request{})
+	withMech := srv.requestKey(pipeline.Identify, &Request{World: WorldConfig{Mechanisms: true}})
 	if plain == withMech {
 		t.Fatal("enabling World.Mechanisms must change the request key")
 	}
@@ -307,16 +343,16 @@ func TestJobsLifecycle(t *testing.T) {
 
 	var jd JobDoc
 	resp := doJSON(t, http.MethodPost, ts.URL+"/v1/jobs",
-		jobSubmitRequest{Kind: KindIdentify}, &jd)
+		jobSubmitRequest{Kind: pipeline.Identify.Name}, &jd)
 	wantStatus(t, resp, http.StatusCreated)
-	if jd.Kind != KindIdentify {
+	if jd.Kind != pipeline.Identify.Name {
 		t.Fatalf("job kind = %q", jd.Kind)
 	}
 
 	// An identical submission while active dedupes onto the same job.
 	var dup JobDoc
 	resp = doJSON(t, http.MethodPost, ts.URL+"/v1/jobs",
-		jobSubmitRequest{Kind: KindIdentify}, &dup)
+		jobSubmitRequest{Kind: pipeline.Identify.Name}, &dup)
 	if resp.StatusCode == http.StatusOK && dup.ID != jd.ID {
 		t.Fatalf("dedupe returned different job %s != %s", dup.ID, jd.ID)
 	}
@@ -362,7 +398,7 @@ func TestJobCancel(t *testing.T) {
 
 	var jd JobDoc
 	resp := doJSON(t, http.MethodPost, ts.URL+"/v1/jobs",
-		jobSubmitRequest{Kind: KindCharacterize}, &jd)
+		jobSubmitRequest{Kind: pipeline.Characterize.Name}, &jd)
 	wantStatus(t, resp, http.StatusCreated)
 
 	// Wait until the worker picks it up so cancellation exercises the
@@ -439,8 +475,8 @@ func TestSingleflightConcurrentIdentify(t *testing.T) {
 	var md MetricsDoc
 	resp := doJSON(t, http.MethodGet, ts.URL+"/metrics", nil, &md)
 	wantStatus(t, resp, http.StatusOK)
-	if md.Runs[KindIdentify] != 1 {
-		t.Fatalf("identify runs = %d, want exactly 1", md.Runs[KindIdentify])
+	if md.Runs[pipeline.Identify.Name] != 1 {
+		t.Fatalf("identify runs = %d, want exactly 1", md.Runs[pipeline.Identify.Name])
 	}
 	if md.Cache.Misses != 1 {
 		t.Fatalf("cache misses = %d, want 1", md.Cache.Misses)
@@ -477,7 +513,7 @@ func TestGracefulShutdownDrains(t *testing.T) {
 
 	var jd JobDoc
 	resp := doJSON(t, http.MethodPost, ts.URL+"/v1/jobs",
-		jobSubmitRequest{Kind: KindCharacterize}, &jd)
+		jobSubmitRequest{Kind: pipeline.Characterize.Name}, &jd)
 	wantStatus(t, resp, http.StatusCreated)
 	<-started
 
@@ -497,7 +533,7 @@ func TestGracefulShutdownDrains(t *testing.T) {
 
 	// Intake is closed during drain.
 	resp = doJSON(t, http.MethodPost, ts.URL+"/v1/jobs",
-		jobSubmitRequest{Kind: KindIdentify}, nil)
+		jobSubmitRequest{Kind: pipeline.Identify.Name}, nil)
 	wantStatus(t, resp, http.StatusServiceUnavailable)
 
 	close(release)

@@ -446,13 +446,18 @@ func cannedResponse(server, title, body string) []byte {
 }
 
 // cannedHandler serves a fixed response to every connection: the
-// cheapest possible listener for the generic synthetic population.
-// The in-memory pipe buffers writes, so the response can be written
-// without draining the request first.
+// cheapest possible listener for the generic synthetic population. It
+// waits for the request before answering, as a real server does:
+// closing first would race the client's request write, which fails once
+// the read side is closed, and the client would lose the banner. The
+// scanner and fingerprinter send a bodiless request head in one write,
+// so one read means the client has finished writing.
 func cannedHandler(resp []byte) netsim.Handler {
 	return netsim.HandlerFunc(func(conn net.Conn, _ netsim.DialInfo) {
 		defer conn.Close()
-		conn.Write(resp) //nolint:errcheck // peer may already be gone
+		var req [512]byte
+		conn.Read(req[:]) //nolint:errcheck // any answer, even EOF, will do
+		conn.Write(resp)  //nolint:errcheck // peer may already be gone
 	})
 }
 

@@ -15,6 +15,7 @@ import (
 	"filtermap"
 
 	"filtermap/internal/longitudinal"
+	"filtermap/internal/pipeline"
 )
 
 // End-to-end longitudinal run: identify the same simulated Internet at
@@ -53,7 +54,7 @@ func TestGoldenHistDiff(t *testing.T) {
 			t.Fatal(err)
 		}
 		return filtermap.Snapshot{
-			Kind:   longitudinal.KindIdentify,
+			Kind:   pipeline.Identify.Snapshot,
 			At:     w.Clock.Now(),
 			Config: cfg,
 			Note:   note,
