@@ -36,7 +36,7 @@ func main() {
 	id := flag.String("id", "", "worker id on the ring (default worker-<pid>)")
 	token := flag.String("token", "", "shared cluster token (required when the coordinator runs -cluster-token)")
 	workers := flag.Int("workers", 0, "engine worker-pool size (0 = engine default)")
-	poll := flag.Duration("poll", 0, "idle re-poll interval (0 = 100ms)")
+	poll := flag.Duration("poll", 0, "longest one lease call waits for work; the coordinator answers as soon as a shard is pending (0 = 100ms)")
 	heartbeat := flag.Duration("heartbeat", 0, "lease-renewal interval; keep well under the coordinator's lease TTL (0 = 2s)")
 	runFor := flag.Duration("run-for", 0, "drain and exit after this long (0 = run until SIGINT/SIGTERM)")
 	drain := flag.Duration("drain", 30*time.Second, "graceful shutdown drain budget")

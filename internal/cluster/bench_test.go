@@ -26,7 +26,6 @@ func BenchmarkClusterFanout(b *testing.B) {
 			defer cancel()
 			for i := 0; i < workers; i++ {
 				w := NewWorker(fmt.Sprintf("bench-%d", i), LocalTransport{Coord: coord}, engine.WithWorkers(1))
-				w.Poll = time.Millisecond
 				w.HeartbeatEvery = time.Second
 				go w.Run(ctx) //nolint:errcheck // exits on cancel
 			}

@@ -161,18 +161,18 @@ func TestLeaseExpiryAndReassignment(t *testing.T) {
 	docs, errs := startJob(t, c)
 
 	n := len(world.MechanismRosterISPs())
-	leasesA := c.Lease("worker-a", n+5)
+	leasesA := c.Lease(context.Background(), LeaseRequest{Worker: "worker-a", Max: n + 5})
 	if len(leasesA) != n {
 		t.Fatalf("worker-a leased %d shards, want %d", len(leasesA), n)
 	}
 	// Nothing more to grant while the leases are live.
-	if extra := c.Lease("worker-b", n); len(extra) != 0 {
+	if extra := c.Lease(context.Background(), LeaseRequest{Worker: "worker-b", Max: n}); len(extra) != 0 {
 		t.Fatalf("worker-b got %d leases while worker-a's are live", len(extra))
 	}
 
 	// worker-a goes silent past the TTL: worker-b takes over everything.
 	clk.Advance(2 * time.Second)
-	leasesB := c.Lease("worker-b", n+5)
+	leasesB := c.Lease(context.Background(), LeaseRequest{Worker: "worker-b", Max: n + 5})
 	if len(leasesB) != n {
 		t.Fatalf("worker-b reassigned %d shards after expiry, want %d", len(leasesB), n)
 	}
@@ -229,7 +229,7 @@ func TestHeartbeatExtendsLease(t *testing.T) {
 	c := NewCoordinator(Options{LeaseTTL: time.Second, Now: clk.Now})
 	docs, errs := startJob(t, c)
 
-	leases := c.Lease("worker-a", 100)
+	leases := c.Lease(context.Background(), LeaseRequest{Worker: "worker-a", Max: 100})
 	refs := make([]LeaseRef, len(leases))
 	for i, l := range leases {
 		refs[i] = l.Ref
@@ -243,7 +243,7 @@ func TestHeartbeatExtendsLease(t *testing.T) {
 		}
 	}
 	clk.Advance(700 * time.Millisecond)
-	if stolen := c.Lease("worker-b", 100); len(stolen) != 0 {
+	if stolen := c.Lease(context.Background(), LeaseRequest{Worker: "worker-b", Max: 100}); len(stolen) != 0 {
 		t.Fatalf("heartbeat did not extend leases: %d reassigned", len(stolen))
 	}
 	// Wrong epoch never validates.
@@ -266,7 +266,7 @@ func TestReleaseReturnsShardsImmediately(t *testing.T) {
 	c := NewCoordinator(Options{LeaseTTL: time.Hour, Now: clk.Now})
 	docs, errs := startJob(t, c)
 
-	leases := c.Lease("worker-a", 100)
+	leases := c.Lease(context.Background(), LeaseRequest{Worker: "worker-a", Max: 100})
 	refs := make([]LeaseRef, len(leases))
 	for i, l := range leases {
 		refs[i] = l.Ref
@@ -276,7 +276,7 @@ func TestReleaseReturnsShardsImmediately(t *testing.T) {
 		t.Fatalf("LeasesReleased = %d, want %d", got, len(leases))
 	}
 	// No clock advance needed: the shards are pending again.
-	handoff := c.Lease("worker-b", 100)
+	handoff := c.Lease(context.Background(), LeaseRequest{Worker: "worker-b", Max: 100})
 	if len(handoff) != len(leases) {
 		t.Fatalf("worker-b picked up %d released shards, want %d", len(handoff), len(leases))
 	}
@@ -295,7 +295,7 @@ func TestShardFailureBudget(t *testing.T) {
 	docs, errs := startJob(t, c)
 
 	for attempt := 0; attempt < 2; attempt++ {
-		leases := c.Lease("worker-a", 1)
+		leases := c.Lease(context.Background(), LeaseRequest{Worker: "worker-a", Max: 1})
 		if len(leases) != 1 {
 			t.Fatalf("attempt %d: leased %d shards, want 1", attempt, len(leases))
 		}
@@ -320,7 +320,7 @@ func TestRunAbortsOnContextCancel(t *testing.T) {
 		t.Fatalf("Run under canceled ctx = %v, want context.Canceled", err)
 	}
 	// The aborted job must not be leasable.
-	if leases := c.Lease("worker-a", 100); len(leases) != 0 {
+	if leases := c.Lease(context.Background(), LeaseRequest{Worker: "worker-a", Max: 100}); len(leases) != 0 {
 		t.Fatalf("aborted job still granted %d leases", len(leases))
 	}
 }
@@ -464,7 +464,7 @@ func TestWorkerDrainReleasesLease(t *testing.T) {
 	docs, errs := startJob(t, c)
 
 	// Manually walk one worker through "drain arrived after leasing".
-	leases := c.Lease("drainer", 1)
+	leases := c.Lease(context.Background(), LeaseRequest{Worker: "drainer", Max: 1})
 	if len(leases) != 1 {
 		t.Fatalf("leased %d, want 1", len(leases))
 	}
@@ -477,7 +477,7 @@ func TestWorkerDrainReleasesLease(t *testing.T) {
 	}
 	c.Release("drainer", []LeaseRef{leases[0].Ref})
 
-	rest := c.Lease("finisher", 100)
+	rest := c.Lease(context.Background(), LeaseRequest{Worker: "finisher", Max: 100})
 	if len(rest) != len(world.MechanismRosterISPs()) {
 		t.Fatalf("finisher leased %d shards, want the whole job back", len(rest))
 	}

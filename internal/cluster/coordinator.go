@@ -28,13 +28,16 @@ type Options struct {
 }
 
 // Coordinator owns the shard table: it splits requests into shards,
-// leases them to polling workers, expires and reassigns dead leases,
+// leases them to waiting workers, expires and reassigns dead leases,
 // and merges fragments into final documents. All methods are safe for
 // concurrent use.
 type Coordinator struct {
 	opts Options
 
-	mu       sync.Mutex
+	mu sync.Mutex
+	// wake is closed and replaced whenever a shard becomes pending, so
+	// every lease call parked on it rescans the table.
+	wake     chan struct{}
 	workers  map[string]*workerState
 	ring     *ring
 	jobs     map[string]*jobState
@@ -107,7 +110,15 @@ func NewCoordinator(opts Options) *Coordinator {
 		workers: make(map[string]*workerState),
 		ring:    newRing(nil),
 		jobs:    make(map[string]*jobState),
+		wake:    make(chan struct{}),
 	}
+}
+
+// wakeLocked wakes every parked lease call: a shard just became
+// pending.
+func (c *Coordinator) wakeLocked() {
+	close(c.wake)
+	c.wake = make(chan struct{})
 }
 
 // Run splits the request into shards, waits for workers to lease and
@@ -154,6 +165,7 @@ func (c *Coordinator) Run(ctx context.Context, req Request) (any, error) {
 	c.order = append(c.order, j.id)
 	c.counters.Jobs++
 	c.counters.Shards += uint64(len(specs))
+	c.wakeLocked()
 	c.mu.Unlock()
 
 	select {
@@ -229,16 +241,57 @@ func (c *Coordinator) touchWorkerLocked(id string, now time.Time) {
 	}
 }
 
-// Lease grants up to max pending shards to the worker. Grant order per
-// job: the worker's own ring-owned pending shards, then other pending
-// shards (work-stealing), then leases whose deadline has passed
-// (expiry + reassignment). Empty response = no work; poll again.
-func (c *Coordinator) Lease(worker string, max int) []ShardLease {
+// Lease grants up to req.Max pending shards to req.Worker. Grant order
+// per job: the worker's own ring-owned pending shards, then other
+// pending shards (work-stealing), then leases whose deadline has passed
+// (expiry + reassignment). When nothing is grantable the call parks
+// until a shard becomes pending, req.WaitMS elapses (clamped to
+// [0, LeaseTTL], so a parked worker stays a ring member), or ctx ends;
+// a wait of 0 answers at once. An elapsed wait rescans once more, so
+// an expired lease is reassigned no later than the end of the wait.
+// Empty response = no work within the wait.
+func (c *Coordinator) Lease(ctx context.Context, req LeaseRequest) []ShardLease {
+	max := req.Max
 	if max <= 0 {
 		max = 1
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
+	var wait time.Duration
+	if req.WaitMS > 0 {
+		wait = c.opts.LeaseTTL
+		if req.WaitMS < wait.Milliseconds() {
+			wait = time.Duration(req.WaitMS) * time.Millisecond
+		}
+	}
+	var timer *time.Timer
+	for final := wait == 0; ; {
+		c.mu.Lock()
+		grants := c.grantLocked(req.Worker, max)
+		// Reading wake under the lock of the scan that found nothing
+		// means any shard made pending after the scan closes this very
+		// channel: no wakeup is lost.
+		wake := c.wake
+		c.mu.Unlock()
+		if len(grants) > 0 || final {
+			return grants
+		}
+		if timer == nil {
+			timer = time.NewTimer(wait)
+			defer timer.Stop()
+		}
+		select {
+		case <-wake:
+		case <-timer.C:
+			final = true
+		case <-ctx.Done():
+			// The caller is gone: granting now would strand the lease
+			// until it expires.
+			return nil
+		}
+	}
+}
+
+// grantLocked admits the worker and leases it up to max shards.
+func (c *Coordinator) grantLocked(worker string, max int) []ShardLease {
 	now := c.opts.Now()
 	c.touchWorkerLocked(worker, now)
 
@@ -315,13 +368,14 @@ func (c *Coordinator) Heartbeat(worker string, refs []LeaseRef) []bool {
 }
 
 // Release hands leases back without results — the graceful-drain path.
-// Released shards return to pending immediately, so the next poll from
-// any worker picks them up without waiting out the lease TTL. The
-// worker is removed from the ring: a draining worker should not attract
-// new preferred-owner assignments.
+// Released shards return to pending immediately and wake parked lease
+// calls, so any worker picks them up without waiting out the lease
+// TTL. The worker is removed from the ring: a draining worker should
+// not attract new preferred-owner assignments.
 func (c *Coordinator) Release(worker string, refs []LeaseRef) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	released := false
 	for _, ref := range refs {
 		sh := c.shardLocked(ref)
 		if sh == nil || sh.state != shardLeased || sh.worker != worker || sh.epoch != ref.Epoch {
@@ -330,6 +384,10 @@ func (c *Coordinator) Release(worker string, refs []LeaseRef) {
 		sh.state = shardPending
 		sh.worker = ""
 		c.counters.LeasesReleased++
+		released = true
+	}
+	if released {
+		c.wakeLocked()
 	}
 	if _, ok := c.workers[worker]; ok {
 		delete(c.workers, worker)
@@ -354,8 +412,9 @@ func (c *Coordinator) shardLocked(ref LeaseRef) *shardState {
 // Result ingests one shard outcome. Success marks the shard done — even
 // under a superseded epoch: shard results are deterministic, so the
 // first delivery wins regardless of which lease produced it. Failure
-// requeues the shard until MaxAttempts, then fails the job. The last
-// shard's success triggers the merge and wakes Run.
+// requeues the shard (waking parked lease calls) until MaxAttempts,
+// then fails the job. The last shard's success triggers the merge and
+// wakes Run.
 func (c *Coordinator) Result(worker string, ref LeaseRef, frag *Fragment, errMsg string) ResultResponse {
 	c.mu.Lock()
 	c.touchWorkerLocked(worker, c.opts.Now())
@@ -394,6 +453,7 @@ func (c *Coordinator) Result(worker string, ref LeaseRef, frag *Fragment, errMsg
 		}
 		sh.state = shardPending
 		sh.worker = ""
+		c.wakeLocked()
 		c.mu.Unlock()
 		return ResultResponse{Accepted: true}
 	}

@@ -116,10 +116,15 @@ type LeaseRequest struct {
 	Worker string `json:"worker"`
 	// Max caps how many shards to lease in one call (0 = 1).
 	Max int `json:"max,omitempty"`
+	// WaitMS is how long the call may park for work when none is
+	// pending (0 = answer now). The coordinator clamps it to its
+	// LeaseTTL so a parked worker stays a ring member.
+	WaitMS int64 `json:"wait_ms,omitempty"`
 }
 
 // LeaseResponse carries zero or more granted leases. Empty means no
-// pending work; the worker polls again.
+// shard became pending within the request's wait; the worker asks
+// again.
 type LeaseResponse struct {
 	Leases []ShardLease `json:"leases"`
 }

@@ -31,8 +31,8 @@ type LocalTransport struct {
 	Coord *Coordinator
 }
 
-func (t LocalTransport) Lease(_ context.Context, req LeaseRequest) (LeaseResponse, error) {
-	return LeaseResponse{Leases: t.Coord.Lease(req.Worker, req.Max)}, nil
+func (t LocalTransport) Lease(ctx context.Context, req LeaseRequest) (LeaseResponse, error) {
+	return LeaseResponse{Leases: t.Coord.Lease(ctx, req)}, nil
 }
 
 func (t LocalTransport) Result(_ context.Context, req ResultRequest) (ResultResponse, error) {
@@ -130,18 +130,21 @@ func (t *HTTPTransport) Release(ctx context.Context, req ReleaseRequest) error {
 	return t.post(ctx, "/v1/cluster/release", req, nil)
 }
 
-// Worker is the pull-based runtime: it polls the coordinator for a
-// lease, executes the shard against its local world replicas, posts the
-// fragment, and repeats. A heartbeat goroutine renews the lease while a
-// shard runs; a heartbeat that comes back invalid cancels the shard
-// (the lease expired and someone else owns it now).
+// Worker is the pull-based runtime: it asks the coordinator for a
+// lease (waiting up to Poll for one), executes the shard against its
+// local world replicas, posts the fragment, and repeats. A heartbeat
+// goroutine renews the lease while a shard runs; a heartbeat that comes
+// back invalid cancels the shard (the lease expired and someone else
+// owns it now).
 type Worker struct {
 	// ID names the worker on the ring. Must be unique per cluster.
 	ID string
 	// Transport reaches the coordinator.
 	Transport Transport
-	// Poll is the idle re-poll interval when no work is pending (0 =
-	// 100ms).
+	// Poll bounds how long one lease call waits for work: the
+	// coordinator answers as soon as a shard becomes pending, or empty
+	// after Poll, and the worker asks again. It is also the back-off
+	// after a failed call (0 = 100ms).
 	Poll time.Duration
 	// HeartbeatEvery is the lease-renewal interval; keep it well under
 	// the coordinator's LeaseTTL (0 = 2s).
@@ -163,7 +166,7 @@ func NewWorker(id string, transport Transport, engOpts ...engine.Option) *Worker
 }
 
 // Drain makes Run finish (or relinquish) current leases and return
-// instead of polling for more work. Safe to call from any goroutine;
+// instead of asking for more work. Safe to call from any goroutine;
 // idempotent.
 func (w *Worker) Drain() { w.draining.Store(true) }
 
@@ -185,7 +188,8 @@ func (w *Worker) Run(ctx context.Context) error {
 		if w.draining.Load() {
 			return nil
 		}
-		resp, err := w.Transport.Lease(ctx, LeaseRequest{Worker: w.ID, Max: 1})
+		start := time.Now()
+		resp, err := w.Transport.Lease(ctx, LeaseRequest{Worker: w.ID, Max: 1, WaitMS: poll.Milliseconds()})
 		if err != nil {
 			if ctx.Err() != nil {
 				return ctx.Err()
@@ -197,7 +201,10 @@ func (w *Worker) Run(ctx context.Context) error {
 			continue
 		}
 		if len(resp.Leases) == 0 {
-			if !sleepCtx(ctx, poll) {
+			// An empty answer normally means the wait ran out. One that
+			// came back early (a coordinator that ignores wait_ms, or a
+			// clamped wait) must not turn this loop into a spin.
+			if !sleepCtx(ctx, poll-time.Since(start)) {
 				return ctx.Err()
 			}
 			continue

@@ -257,10 +257,13 @@ func (n *Network) injectFault(ctx context.Context, info DialInfo) (net.Conn, err
 		}
 		return nil, nil, nil
 	case FaultHTTP5xx:
-		client, server := newConnPair(
+		client, server, err := n.connPair(
 			simAddr{addr: info.Src, port: 0},
 			simAddr{addr: info.Dst, port: info.Port},
 		)
+		if err != nil {
+			return nil, err, nil
+		}
 		go serveUnavailable(server)
 		return client, nil, nil
 	case FaultReset, FaultTruncate, FaultGarble:

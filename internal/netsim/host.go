@@ -180,15 +180,18 @@ func (h *Host) deliver(src *Host, port uint16, info DialInfo) (net.Conn, error) 
 		// from a closed port.
 		return nil, fmt.Errorf("%w: %s:%d", ErrConnRefused, h.addr, port)
 	}
-	client, server := newConnPair(
-		simAddr{addr: info.Src, port: ephemeralPort(src)},
-		simAddr{addr: h.addr, port: port},
-	)
 	l.mu.Lock()
 	closed := l.closed
 	l.mu.Unlock()
 	if closed {
 		return nil, fmt.Errorf("%w: %s:%d", ErrConnRefused, h.addr, port)
+	}
+	client, server, err := h.network.connPair(
+		simAddr{addr: info.Src, port: ephemeralPort(src)},
+		simAddr{addr: h.addr, port: port},
+	)
+	if err != nil {
+		return nil, err
 	}
 	// Direct dispatch: ServeHandler listeners have no accept loop; the
 	// handler runs in a per-connection goroutine spawned here, exactly
@@ -204,6 +207,7 @@ func (h *Host) deliver(src *Host, port uint16, info DialInfo) (net.Conn, error) 
 	case l.backlog <- server:
 		return client, nil
 	case <-l.done:
+		server.Close()
 		return nil, fmt.Errorf("%w: %s:%d", ErrConnRefused, h.addr, port)
 	}
 }

@@ -168,6 +168,12 @@ type Network struct {
 	dialLatency time.Duration
 	faults      *FaultPlan
 	closed      bool
+
+	// connMu guards the live server ends of every connection pair the
+	// network created; Close closes them so their handlers return, and
+	// sets conns to nil so no pair is created after it.
+	connMu sync.Mutex
+	conns  map[*conn]struct{}
 }
 
 // New returns an empty simulated Internet. If clock is nil the system clock
@@ -183,6 +189,7 @@ func New(clock simclock.Clock) *Network {
 		rdns:  make(map[netip.Addr]string),
 		ases:  make(map[int]*AS),
 		isps:  make(map[string]*ISP),
+		conns: make(map[*conn]struct{}),
 	}
 }
 
@@ -413,7 +420,9 @@ func (n *Network) DNSNames() []string {
 	return out
 }
 
-// Close shuts the network down: all listeners close and future dials fail.
+// Close shuts the network down: all listeners close, every live
+// connection closes (so handlers parked in Read return and release
+// whatever they pin), and future dials fail.
 func (n *Network) Close() {
 	n.mu.Lock()
 	n.closed = true
@@ -422,9 +431,39 @@ func (n *Network) Close() {
 		hosts = append(hosts, h)
 	}
 	n.mu.Unlock()
+	n.connMu.Lock()
+	conns := n.conns
+	n.conns = nil
+	n.connMu.Unlock()
 	for _, h := range hosts {
 		h.closeAll()
 	}
+	for c := range conns {
+		c.Close()
+	}
+}
+
+// connPair creates a connection pair whose server end the network
+// holds until either end closes, so Close can end the handler serving
+// it. It fails once the network is closed.
+func (n *Network) connPair(client, server net.Addr) (*conn, *conn, error) {
+	c, s := newConnPair(client, server)
+	c.owner, c.server = n, s
+	s.owner, s.server = n, s
+	n.connMu.Lock()
+	defer n.connMu.Unlock()
+	if n.conns == nil {
+		return nil, nil, ErrNetworkClosed
+	}
+	n.conns[s] = struct{}{}
+	return c, s, nil
+}
+
+// untrack drops a closed pair's server end from the live set.
+func (n *Network) untrack(s *conn) {
+	n.connMu.Lock()
+	delete(n.conns, s)
+	n.connMu.Unlock()
 }
 
 // dial implements the routing decision for a connection attempt from src.
@@ -486,10 +525,13 @@ func (n *Network) dial(ctx context.Context, src *Host, dst netip.Addr, port uint
 	if src.isp != nil && !src.bypassIntercept {
 		if ic := src.isp.Interceptor(); ic != nil && !sameISP(src.isp, dstHost) {
 			if h := ic.Intercept(info); h != nil {
-				client, server := newConnPair(
+				client, server, err := n.connPair(
 					simAddr{addr: src.addr, port: ephemeralPort(src)},
 					simAddr{addr: dst, port: port},
 				)
+				if err != nil {
+					return nil, err
+				}
 				go h.ServeConn(server, info)
 				return wrapConn(client), nil
 			}

@@ -42,14 +42,13 @@ type deadline struct {
 	timer *time.Timer
 }
 
-// set must be called with the halfPipe mutex held.
-func (d *deadline) set(t time.Time) {
+// set must be called with the halfPipe mutex held. arm is false once
+// the half is closed: nothing waits on it any more, and an armed timer
+// would pin its buffers until it fires.
+func (d *deadline) set(t time.Time, arm bool) {
 	d.t = t
-	if d.timer != nil {
-		d.timer.Stop()
-		d.timer = nil
-	}
-	if t.IsZero() {
+	d.stop()
+	if t.IsZero() || !arm {
 		return
 	}
 	if dur := time.Until(t); dur > 0 {
@@ -59,6 +58,15 @@ func (d *deadline) set(t time.Time) {
 			cond.Broadcast()
 			cond.L.Unlock()
 		})
+	}
+}
+
+// stop disarms the timer; it must be called with the halfPipe mutex
+// held.
+func (d *deadline) stop() {
+	if d.timer != nil {
+		d.timer.Stop()
+		d.timer = nil
 	}
 }
 
@@ -122,13 +130,31 @@ func (h *halfPipe) write(p []byte) (int, error) {
 func (h *halfPipe) closeWrite() {
 	h.mu.Lock()
 	h.wclosed = true
-	h.cond.Broadcast()
+	h.quiesceLocked()
 	h.mu.Unlock()
 }
 
 func (h *halfPipe) closeRead() {
 	h.mu.Lock()
 	h.rclosed = true
+	h.quiesceLocked()
+	h.mu.Unlock()
+}
+
+// quiesceLocked wakes every waiter after a close and disarms both
+// deadline timers, which no waiter needs any more.
+func (h *halfPipe) quiesceLocked() {
+	h.rdl.stop()
+	h.wdl.stop()
+	h.cond.Broadcast()
+}
+
+// setDeadline sets one of this half's deadlines and wakes waiters so
+// they observe it. Once either side has closed, reads drain then fail
+// and writes fail, so nobody waits again and no timer is armed.
+func (h *halfPipe) setDeadline(d *deadline, t time.Time) {
+	h.mu.Lock()
+	d.set(t, !h.wclosed && !h.rclosed)
 	h.cond.Broadcast()
 	h.mu.Unlock()
 }
@@ -138,6 +164,10 @@ type conn struct {
 	rd, wr        *halfPipe // rd: peer writes, we read; wr: we write, peer reads
 	local, remote net.Addr
 	closeOnce     sync.Once
+	// owner, when set, holds server (this conn or its peer) in its live
+	// set until either end closes; see Network.connPair.
+	owner  *Network
+	server *conn
 }
 
 // newConnPair returns the two endpoints of a fresh duplex connection.
@@ -156,6 +186,9 @@ func (c *conn) Close() error {
 	c.closeOnce.Do(func() {
 		c.wr.closeWrite()
 		c.rd.closeRead()
+		if c.owner != nil {
+			c.owner.untrack(c.server)
+		}
 	})
 	return nil
 }
@@ -177,17 +210,11 @@ func (c *conn) SetDeadline(t time.Time) error {
 }
 
 func (c *conn) SetReadDeadline(t time.Time) error {
-	c.rd.mu.Lock()
-	c.rd.rdl.set(t)
-	c.rd.mu.Unlock()
-	c.rd.cond.Broadcast()
+	c.rd.setDeadline(&c.rd.rdl, t)
 	return nil
 }
 
 func (c *conn) SetWriteDeadline(t time.Time) error {
-	c.wr.mu.Lock()
-	c.wr.wdl.set(t)
-	c.wr.mu.Unlock()
-	c.wr.cond.Broadcast()
+	c.wr.setDeadline(&c.wr.wdl, t)
 	return nil
 }

@@ -47,7 +47,8 @@ type ClusterOptions struct {
 	// LocalWorkers sizes the in-process worker pool with RoleBoth
 	// (0 = 1; ignored for RoleCoordinator).
 	LocalWorkers int
-	// WorkerPoll is the local workers' idle poll interval (0 = 100ms).
+	// WorkerPoll bounds how long a local worker's lease call waits for
+	// work; it returns as soon as a shard is pending (0 = 100ms).
 	WorkerPoll time.Duration
 	// WorkerHeartbeat is the local workers' lease-renewal interval
 	// (0 = LeaseTTL/4, floored at 10ms).
@@ -245,7 +246,7 @@ func (s *Server) handleClusterLease(w http.ResponseWriter, r *http.Request) {
 		jsonError(w, http.StatusBadRequest, "worker id required")
 		return
 	}
-	writeJSON(w, http.StatusOK, cluster.LeaseResponse{Leases: coord.Lease(req.Worker, req.Max)})
+	writeJSON(w, http.StatusOK, cluster.LeaseResponse{Leases: coord.Lease(r.Context(), req)})
 }
 
 func (s *Server) handleClusterResult(w http.ResponseWriter, r *http.Request) {

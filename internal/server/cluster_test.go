@@ -2,9 +2,11 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"strconv"
 	"testing"
 	"time"
@@ -207,4 +209,105 @@ func TestClusterLeaseValidation(t *testing.T) {
 	resp = doJSON(t, http.MethodPost, ts.URL+"/v1/cluster/result",
 		cluster.ResultRequest{Worker: "w"}, nil)
 	wantStatus(t, resp, http.StatusBadRequest)
+}
+
+// TestClusterLeaseWakesHTTPWorker checks wait-for-work over the wire: a
+// remote worker whose lease call is parked picks up a job submitted
+// meanwhile at once, not after its 5s Poll.
+func TestClusterLeaseWakesHTTPWorker(t *testing.T) {
+	srv, ts := newTestServer(t, Options{Cluster: &ClusterOptions{Role: RoleCoordinator, LeaseTTL: 30 * time.Second}})
+	coord := srv.clusterRt.coord
+
+	w := cluster.NewWorker("remote", &cluster.HTTPTransport{BaseURL: ts.URL})
+	w.Poll = 5 * time.Second
+	ctx, cancel := context.WithCancel(context.Background())
+	runDone := make(chan struct{})
+	go func() {
+		defer close(runDone)
+		w.Run(ctx) //nolint:errcheck // exits on cancel
+	}()
+	t.Cleanup(func() {
+		cancel()
+		<-runDone
+	})
+
+	// The worker's first lease admits it to the ring and parks.
+	waitFor(t, func() bool { return coord.Counters().WorkersAdmitted == 1 })
+
+	submitted := time.Now()
+	done := make(chan []byte, 1)
+	go func() { done <- postBody(t, ts.URL+"/v1/mechanisms?wait=1") }()
+	waitFor(t, func() bool { return coord.Counters().LeasesGranted > 0 })
+	if d := time.Since(submitted); d > time.Second {
+		t.Fatalf("parked worker took %v to pick up the job, want <1s", d)
+	}
+	select {
+	case <-done:
+	case <-time.After(30 * time.Second):
+		t.Fatal("clustered job never finished")
+	}
+}
+
+// TestClusterLeaseUnauthenticatedNotParked checks the token gate runs
+// before any parking: a lease without the token is refused at once.
+func TestClusterLeaseUnauthenticatedNotParked(t *testing.T) {
+	_, ts := newTestServer(t, Options{
+		ClusterToken: "s3cret",
+		Cluster:      &ClusterOptions{Role: RoleCoordinator, LeaseTTL: 30 * time.Second},
+	})
+	start := time.Now()
+	resp := doJSON(t, http.MethodPost, ts.URL+"/v1/cluster/lease", cluster.LeaseRequest{Worker: "w", WaitMS: 10_000}, nil)
+	resp.Body.Close()
+	wantStatus(t, resp, http.StatusUnauthorized)
+	if d := time.Since(start); d > time.Second {
+		t.Fatalf("unauthenticated lease answered after %v, want at once", d)
+	}
+}
+
+// TestClusterShutdownBoundedByLeaseClamp checks a parked remote lease
+// cannot hold shutdown past LeaseTTL, however long the worker asked to
+// wait.
+func TestClusterShutdownBoundedByLeaseClamp(t *testing.T) {
+	srv, err := New(Options{Cluster: &ClusterOptions{Role: RoleCoordinator, LeaseTTL: 200 * time.Millisecond}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv)
+	coord := srv.clusterRt.coord
+
+	w := cluster.NewWorker("remote", &cluster.HTTPTransport{BaseURL: ts.URL})
+	w.Poll = time.Minute
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	runDone := make(chan struct{})
+	go func() {
+		defer close(runDone)
+		w.Run(ctx) //nolint:errcheck // exits on cancel
+	}()
+	waitFor(t, func() bool { return coord.Counters().WorkersAdmitted == 1 })
+
+	start := time.Now()
+	ts.Close() // waits for the parked lease handler
+	shutCtx, shutCancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer shutCancel()
+	if err := srv.Shutdown(shutCtx); err != nil {
+		t.Fatalf("Shutdown: %v", err)
+	}
+	if d := time.Since(start); d > 2*time.Second {
+		t.Fatalf("shutdown took %v with a parked lease, want about the 200ms clamp", d)
+	}
+	cancel()
+	<-runDone
+}
+
+// waitFor polls cond for up to 5s.
+func waitFor(t *testing.T, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatal("condition not met within 5s")
+		}
+		time.Sleep(time.Millisecond)
+	}
 }
