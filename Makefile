@@ -91,8 +91,9 @@ world-golden:
 bench-world:
 	./scripts/bench_json.sh 10x world
 
-# Short deterministic fuzzing of every wire-facing parser: each target
-# runs its seed corpus plus a few seconds of mutation. A real fuzzing
+# Short deterministic fuzzing of every wire-facing parser and the store's
+# segment recovery: each target runs its seed corpus plus a few seconds
+# of mutation. A real fuzzing
 # session replaces -fuzztime with minutes or hours.
 FUZZTIME ?= 5s
 .PHONY: fuzz-smoke
@@ -104,6 +105,7 @@ fuzz-smoke:
 	go test -run xxx -fuzz FuzzExtractTitle -fuzztime $(FUZZTIME) ./internal/fingerprint/
 	go test -run xxx -fuzz FuzzParseDNSMessage -fuzztime $(FUZZTIME) ./internal/mechanism/
 	go test -run xxx -fuzz FuzzParseClientHello -fuzztime $(FUZZTIME) ./internal/mechanism/
+	go test -run xxx -fuzz FuzzStoreReopen -fuzztime $(FUZZTIME) ./internal/store/
 
 # Fail the build when any package (examples excluded) ships without a
 # _test.go file.

@@ -33,12 +33,10 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	l, err := ref.Listen(80)
-	if err != nil {
+	srv := &httpwire.Server{Handler: proxydetect.EchoHandler()}
+	if _, err := ref.Serve(80, netsim.Public, netsim.ConnFunc(srv.ServeConn)); err != nil {
 		log.Fatal(err)
 	}
-	srv := &httpwire.Server{Handler: proxydetect.EchoHandler()}
-	go srv.Serve(l) //nolint:errcheck // ends with listener
 
 	// Probe from each case-study ISP plus the (unfiltered) lab network.
 	vantages := map[string]*netsim.Host{"UToronto (control)": w.Lab}

@@ -48,14 +48,12 @@ func newHarness(t *testing.T, blocked map[string]bool) (*measurement.Client, url
 			t.Fatal(err)
 		}
 		ip = ip.Next()
-		l, err := h.Listen(80)
-		if err != nil {
-			t.Fatal(err)
-		}
 		srv := &httpwire.Server{Handler: httpwire.HandlerFunc(func(*httpwire.Request) *httpwire.Response {
 			return httpwire.NewResponse(200, nil, []byte("origin content"))
 		})}
-		go srv.Serve(l) //nolint:errcheck // ends with listener
+		if _, err := h.Serve(80, netsim.Public, netsim.ConnFunc(srv.ServeConn)); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	isp.SetInterceptor(netsim.InterceptorFunc(func(info netsim.DialInfo) netsim.Handler {

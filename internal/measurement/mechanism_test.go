@@ -28,31 +28,21 @@ const (
 
 func serveDNS(t testing.TB, h *netsim.Host, resolve mechanism.Resolve) {
 	t.Helper()
-	l, err := h.Listen(53)
-	if err != nil {
+	if _, err := h.Serve(53, netsim.Public, netsim.ConnFunc(func(c net.Conn) {
+		mechanism.ServeDNSConn(c, resolve)
+	})); err != nil {
 		t.Fatal(err)
 	}
-	go func() {
-		for {
-			c, err := l.Accept()
-			if err != nil {
-				return
-			}
-			go mechanism.ServeDNSConn(c, resolve)
-		}
-	}()
 }
 
 func serveHTTP(t testing.TB, h *netsim.Host, body string) {
 	t.Helper()
-	l, err := h.Listen(80)
-	if err != nil {
-		t.Fatal(err)
-	}
 	srv := &httpwire.Server{Handler: httpwire.HandlerFunc(func(req *httpwire.Request) *httpwire.Response {
 		return httpwire.NewResponse(200, nil, []byte(body))
 	})}
-	go srv.Serve(l) //nolint:errcheck // ends with listener
+	if _, err := h.Serve(80, netsim.Public, netsim.ConnFunc(srv.ServeConn)); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func serveTLS(t testing.TB, h *netsim.Host) {

@@ -24,22 +24,12 @@ func faultPair(t *testing.T, plan *FaultPlan) (*Network, *Host, *Host) {
 	n := newTestNet(t)
 	srv, _ := n.AddHost(mustAddr(t, "192.0.2.1"), "server.test", nil)
 	cli, _ := n.AddHost(mustAddr(t, "192.0.2.2"), "client.test", nil)
-	l, err := srv.Listen(80)
-	if err != nil {
-		t.Fatalf("Listen: %v", err)
+	if _, err := srv.Serve(80, Public, ConnFunc(func(c net.Conn) {
+		defer c.Close()
+		io.Copy(c, c) //nolint:errcheck // echo until close
+	})); err != nil {
+		t.Fatalf("Serve: %v", err)
 	}
-	go func() {
-		for {
-			c, err := l.Accept()
-			if err != nil {
-				return
-			}
-			go func(c net.Conn) {
-				defer c.Close()
-				io.Copy(c, c) //nolint:errcheck // echo until close
-			}(c)
-		}
-	}()
 	n.SetFaultPlan(plan)
 	return n, srv, cli
 }
@@ -199,16 +189,7 @@ func TestFaultFlapWindows(t *testing.T) {
 	t.Cleanup(n.Close)
 	srv, _ := n.AddHost(mustAddr(t, "192.0.2.1"), "server.test", nil)
 	cli, _ := n.AddHost(mustAddr(t, "192.0.2.2"), "client.test", nil)
-	l, _ := srv.Listen(80)
-	go func() {
-		for {
-			c, err := l.Accept()
-			if err != nil {
-				return
-			}
-			c.Close()
-		}
-	}()
+	mustServe(t, srv, 80, Public, "")
 	n.SetFaultPlan(&FaultPlan{Seed: 1, Rules: []FaultRule{
 		{Kind: FaultFlap, Period: 4 * time.Hour, Down: time.Hour},
 	}})
@@ -239,9 +220,7 @@ func TestFaultRuleScoping(t *testing.T) {
 	}}
 	n, srv, cli := faultPair(t, plan)
 	blocked, _ := n.AddHost(mustAddr(t, "198.51.100.9"), "blocked.test", nil)
-	if _, err := blocked.Listen(80); err != nil {
-		t.Fatalf("Listen: %v", err)
-	}
+	mustServe(t, blocked, 80, Public, "")
 
 	// In-scope dials fail.
 	if _, err := cli.Dial(context.Background(), blocked.Addr(), 80); !errors.Is(err, ErrConnTimeout) {
@@ -278,20 +257,7 @@ func TestFaultDeterminismAcrossConcurrency(t *testing.T) {
 		if err != nil {
 			t.Fatalf("AddHost: %v", err)
 		}
-		l, err := h.Listen(80)
-		if err != nil {
-			t.Fatalf("Listen: %v", err)
-		}
-		go func() {
-			for {
-				c, err := l.Accept()
-				if err != nil {
-					return
-				}
-				c.Write([]byte("HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nok")) //nolint:errcheck // test server
-				c.Close()
-			}
-		}()
+		mustServe(t, h, 80, Public, "HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nok")
 		addrs[i] = h
 	}
 	n.SetFaultPlan(plan)

@@ -10,6 +10,8 @@
 //   - an IPv4 address space with registered Hosts,
 //   - per-host listeners with Public or ISPOnly visibility (an ISPOnly
 //     admin console is the paper's "not visible on the global Internet"),
+//     each served by a Handler dispatched straight from the dial: a
+//     goroutine per connection, none per idle port,
 //   - in-memory net.Conn transport with deadlines and half-close,
 //   - autonomous systems and ISPs, so IP→ASN mapping has ground truth,
 //   - transparent egress interception: when a host inside an ISP dials an
@@ -147,6 +149,13 @@ type HandlerFunc func(conn net.Conn, info DialInfo)
 
 // ServeConn implements Handler.
 func (f HandlerFunc) ServeConn(conn net.Conn, info DialInfo) { f(conn, info) }
+
+// ConnFunc adapts a server written for real sockets, such as
+// httpwire.Server.ServeConn, to a Handler that ignores the DialInfo.
+type ConnFunc func(conn net.Conn)
+
+// ServeConn implements Handler.
+func (f ConnFunc) ServeConn(conn net.Conn, _ DialInfo) { f(conn) }
 
 // InterceptorFunc adapts a function to the Interceptor interface.
 type InterceptorFunc func(info DialInfo) Handler

@@ -9,6 +9,7 @@ import (
 	"net"
 	"net/netip"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"time"
@@ -37,6 +38,18 @@ func newTestNet(t testing.TB) *Network {
 	n := New(nil)
 	t.Cleanup(n.Close)
 	return n
+}
+
+// mustServe serves port on h with a handler that writes banner and
+// closes.
+func mustServe(t testing.TB, h *Host, port uint16, vis Visibility, banner string) {
+	t.Helper()
+	if _, err := h.Serve(port, vis, ConnFunc(func(c net.Conn) {
+		c.Write([]byte(banner)) //nolint:errcheck // test server
+		c.Close()
+	})); err != nil {
+		t.Fatalf("Serve %s:%d: %v", h.Addr(), port, err)
+	}
 }
 
 func TestAddHostAndResolve(t *testing.T) {
@@ -85,18 +98,12 @@ func TestDialEcho(t *testing.T) {
 	srvHost, _ := n.AddHost(mustAddr(t, "192.0.2.1"), "server.test", nil)
 	cliHost, _ := n.AddHost(mustAddr(t, "192.0.2.2"), "client.test", nil)
 
-	l, err := srvHost.Listen(7)
-	if err != nil {
-		t.Fatalf("Listen: %v", err)
-	}
-	go func() {
-		c, err := l.Accept()
-		if err != nil {
-			return
-		}
+	if _, err := srvHost.Serve(7, Public, ConnFunc(func(c net.Conn) {
 		defer c.Close()
 		io.Copy(c, c) //nolint:errcheck // echo until close
-	}()
+	})); err != nil {
+		t.Fatalf("Serve: %v", err)
+	}
 
 	conn, err := cliHost.Dial(context.Background(), srvHost.Addr(), 7)
 	if err != nil {
@@ -120,15 +127,7 @@ func TestDialByHostname(t *testing.T) {
 	n := newTestNet(t)
 	srvHost, _ := n.AddHost(mustAddr(t, "192.0.2.1"), "server.test", nil)
 	cliHost, _ := n.AddHost(mustAddr(t, "192.0.2.2"), "", nil)
-	l, _ := srvHost.Listen(80)
-	go func() {
-		c, err := l.Accept()
-		if err != nil {
-			return
-		}
-		c.Write([]byte("ok")) //nolint:errcheck // test server
-		c.Close()
-	}()
+	mustServe(t, srvHost, 80, Public, "ok")
 	conn, err := cliHost.DialHost(context.Background(), "server.test", 80)
 	if err != nil {
 		t.Fatalf("DialHost: %v", err)
@@ -167,20 +166,7 @@ func TestISPOnlyVisibility(t *testing.T) {
 	inside, _ := n.AddHost(mustAddr(t, "198.51.100.2"), "", isp)
 	outside, _ := n.AddHost(mustAddr(t, "192.0.2.9"), "", nil)
 
-	l, err := filter.ListenVisibility(8080, ISPOnly)
-	if err != nil {
-		t.Fatalf("ListenVisibility: %v", err)
-	}
-	go func() {
-		for {
-			c, err := l.Accept()
-			if err != nil {
-				return
-			}
-			c.Write([]byte("admin")) //nolint:errcheck // test server
-			c.Close()
-		}
-	}()
+	mustServe(t, filter, 8080, ISPOnly, "admin")
 
 	// Inside the ISP: reachable.
 	conn, err := inside.Dial(context.Background(), filter.Addr(), 8080)
@@ -234,17 +220,7 @@ func TestInterceptorSeesEgressTraffic(t *testing.T) {
 	isp, _ := n.AddISP("YemenNet", as)
 	inside, _ := n.AddHost(mustAddr(t, "82.114.160.5"), "", isp)
 	outsideSrv, _ := n.AddHost(mustAddr(t, "192.0.2.1"), "origin.test", nil)
-	l, _ := outsideSrv.Listen(80)
-	go func() {
-		for {
-			c, err := l.Accept()
-			if err != nil {
-				return
-			}
-			c.Write([]byte("origin")) //nolint:errcheck // test server
-			c.Close()
-		}
-	}()
+	mustServe(t, outsideSrv, 80, Public, "origin")
 
 	var seen []DialInfo
 	isp.SetInterceptor(InterceptorFunc(func(info DialInfo) Handler {
@@ -276,15 +252,7 @@ func TestInterceptorPassThrough(t *testing.T) {
 	isp, _ := n.AddISP("YemenNet", as)
 	inside, _ := n.AddHost(mustAddr(t, "82.114.160.5"), "", isp)
 	outsideSrv, _ := n.AddHost(mustAddr(t, "192.0.2.1"), "", nil)
-	l, _ := outsideSrv.Listen(22)
-	go func() {
-		c, err := l.Accept()
-		if err != nil {
-			return
-		}
-		c.Write([]byte("ssh")) //nolint:errcheck // test server
-		c.Close()
-	}()
+	mustServe(t, outsideSrv, 22, Public, "ssh")
 	isp.SetInterceptor(InterceptorFunc(func(info DialInfo) Handler { return nil }))
 	conn, err := inside.Dial(context.Background(), outsideSrv.Addr(), 22)
 	if err != nil {
@@ -303,15 +271,7 @@ func TestInterceptorSkipsSameISPTraffic(t *testing.T) {
 	isp, _ := n.AddISP("ISP", as)
 	inside, _ := n.AddHost(mustAddr(t, "10.1.0.5"), "", isp)
 	filter, _ := n.AddHost(mustAddr(t, "10.1.0.1"), "", isp)
-	l, _ := filter.Listen(8080)
-	go func() {
-		c, err := l.Accept()
-		if err != nil {
-			return
-		}
-		c.Write([]byte("console")) //nolint:errcheck // test server
-		c.Close()
-	}()
+	mustServe(t, filter, 8080, Public, "console")
 	isp.SetInterceptor(InterceptorFunc(func(info DialInfo) Handler {
 		return staticHandler("intercepted")
 	}))
@@ -333,15 +293,7 @@ func TestBypassInterceptHost(t *testing.T) {
 	mb, _ := n.AddHost(mustAddr(t, "10.1.0.1"), "", isp)
 	mb.SetBypassIntercept(true)
 	origin, _ := n.AddHost(mustAddr(t, "192.0.2.1"), "", nil)
-	l, _ := origin.Listen(80)
-	go func() {
-		c, err := l.Accept()
-		if err != nil {
-			return
-		}
-		c.Write([]byte("origin")) //nolint:errcheck // test server
-		c.Close()
-	}()
+	mustServe(t, origin, 80, Public, "origin")
 	isp.SetInterceptor(InterceptorFunc(func(info DialInfo) Handler {
 		return staticHandler("intercepted")
 	}))
@@ -359,13 +311,31 @@ func TestBypassInterceptHost(t *testing.T) {
 func TestRemoveHostDropsDNSAndListeners(t *testing.T) {
 	n := newTestNet(t)
 	h, _ := n.AddHost(mustAddr(t, "192.0.2.3"), "gone.test", nil)
-	l, _ := h.Listen(80)
+	cli, _ := n.AddHost(mustAddr(t, "192.0.2.4"), "", nil)
+	var calls atomic.Int32
+	if _, err := h.Serve(80, Public, ConnFunc(func(c net.Conn) {
+		calls.Add(1)
+		c.Close()
+	})); err != nil {
+		t.Fatal(err)
+	}
 	n.RemoveHost(h.Addr())
 	if _, err := n.Resolve("gone.test"); err == nil {
 		t.Fatal("DNS record survived RemoveHost")
 	}
-	if _, err := l.Accept(); !errors.Is(err, net.ErrClosed) {
-		t.Fatalf("Accept err = %v, want net.ErrClosed", err)
+	if ports := h.OpenPorts(); len(ports) != 0 {
+		t.Fatalf("removed host still listens on %v", ports)
+	}
+	// A host re-added at the address starts with no listeners: the
+	// removed host's handler must not answer for it.
+	if _, err := n.AddHost(h.Addr(), "", nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cli.Dial(context.Background(), h.Addr(), 80); !errors.Is(err, ErrConnRefused) {
+		t.Fatalf("dial to re-added host err = %v, want ErrConnRefused", err)
+	}
+	if got := calls.Load(); got != 0 {
+		t.Fatalf("removed host's handler ran %d times", got)
 	}
 }
 
@@ -398,16 +368,13 @@ func TestConnDeadline(t *testing.T) {
 	n := newTestNet(t)
 	srv, _ := n.AddHost(mustAddr(t, "192.0.2.1"), "", nil)
 	cli, _ := n.AddHost(mustAddr(t, "192.0.2.2"), "", nil)
-	l, _ := srv.Listen(80)
-	go func() {
-		c, err := l.Accept()
-		if err != nil {
-			return
-		}
+	if _, err := srv.Serve(80, Public, ConnFunc(func(c net.Conn) {
 		// Hold the connection open without writing.
 		time.Sleep(2 * time.Second)
 		c.Close()
-	}()
+	})); err != nil {
+		t.Fatal(err)
+	}
 	conn, err := cli.Dial(context.Background(), srv.Addr(), 80)
 	if err != nil {
 		t.Fatalf("Dial: %v", err)
@@ -429,13 +396,8 @@ func TestPipeLargeTransfer(t *testing.T) {
 	n := newTestNet(t)
 	srv, _ := n.AddHost(mustAddr(t, "192.0.2.1"), "", nil)
 	cli, _ := n.AddHost(mustAddr(t, "192.0.2.2"), "", nil)
-	l, _ := srv.Listen(80)
 	const size = 3 << 20 // larger than the pipe buffer
-	go func() {
-		c, err := l.Accept()
-		if err != nil {
-			return
-		}
+	if _, err := srv.Serve(80, Public, ConnFunc(func(c net.Conn) {
 		defer c.Close()
 		chunk := strings.Repeat("x", 64<<10)
 		sent := 0
@@ -446,7 +408,9 @@ func TestPipeLargeTransfer(t *testing.T) {
 			}
 			sent += m
 		}
-	}()
+	})); err != nil {
+		t.Fatal(err)
+	}
 	conn, err := cli.Dial(context.Background(), srv.Addr(), 80)
 	if err != nil {
 		t.Fatalf("Dial: %v", err)
@@ -465,18 +429,15 @@ func TestCloseWriteHalfClose(t *testing.T) {
 	n := newTestNet(t)
 	srv, _ := n.AddHost(mustAddr(t, "192.0.2.1"), "", nil)
 	cli, _ := n.AddHost(mustAddr(t, "192.0.2.2"), "", nil)
-	l, _ := srv.Listen(80)
-	go func() {
-		c, err := l.Accept()
-		if err != nil {
-			return
-		}
+	if _, err := srv.Serve(80, Public, ConnFunc(func(c net.Conn) {
 		defer c.Close()
 		// Read everything the client sent, then respond.
 		br := bufio.NewReader(c)
 		b, _ := io.ReadAll(br)
 		c.Write([]byte("got:" + string(b))) //nolint:errcheck // test server
-	}()
+	})); err != nil {
+		t.Fatal(err)
+	}
 	conn, err := cli.Dial(context.Background(), srv.Addr(), 80)
 	if err != nil {
 		t.Fatalf("Dial: %v", err)

@@ -61,7 +61,7 @@ func (r *toyRealm) Materialize(addr netip.Addr) error {
 		return err
 	}
 	banner := fmt.Sprintf("BANNER %s\n", addr)
-	_, err = h.ServeHandler(80, Public, HandlerFunc(func(conn net.Conn, _ DialInfo) {
+	_, err = h.Serve(80, Public, HandlerFunc(func(conn net.Conn, _ DialInfo) {
 		defer conn.Close()
 		io.WriteString(conn, banner)
 	}))
@@ -189,7 +189,7 @@ func (r *siblingRealm) Materialize(netip.Addr) error {
 	r.waiting.Store(false)
 	for _, h := range hosts {
 		banner := fmt.Sprintf("BANNER %s\n", h.Addr())
-		if _, err := h.ServeHandler(80, Public, HandlerFunc(func(conn net.Conn, _ DialInfo) {
+		if _, err := h.Serve(80, Public, HandlerFunc(func(conn net.Conn, _ DialInfo) {
 			defer conn.Close()
 			io.WriteString(conn, banner)
 		})); err != nil {
@@ -338,7 +338,7 @@ func TestRealmRemoveHostStaysRemoved(t *testing.T) {
 	}
 }
 
-func TestServeHandlerDirectDispatch(t *testing.T) {
+func TestServeDirectDispatch(t *testing.T) {
 	nw := New(nil)
 	defer nw.Close()
 	srv, err := nw.AddHost(netip.MustParseAddr("203.0.113.1"), "direct.test", nil)
@@ -351,7 +351,7 @@ func TestServeHandlerDirectDispatch(t *testing.T) {
 	}
 	var gotInfo DialInfo
 	var mu sync.Mutex
-	l, err := srv.ServeHandler(8080, Public, HandlerFunc(func(conn net.Conn, info DialInfo) {
+	l, err := srv.Serve(8080, Public, HandlerFunc(func(conn net.Conn, info DialInfo) {
 		mu.Lock()
 		gotInfo = info
 		mu.Unlock()

@@ -49,35 +49,21 @@ func waitUnblocked(t *testing.T, n *Network, client net.Conn, p *parkedReader) {
 	}
 }
 
-// TestNetworkCloseUnblocksDeliveredHandler covers Host.deliver: both
-// listener models hand the handler a server end the network owns.
+// TestNetworkCloseUnblocksDeliveredHandler covers Host.deliver: the
+// handler is handed a server end the network owns.
 func TestNetworkCloseUnblocksDeliveredHandler(t *testing.T) {
-	for _, direct := range []bool{true, false} {
-		name := "Serve"
-		if direct {
-			name = "ServeHandler"
-		}
-		t.Run(name, func(t *testing.T) {
-			n := newTestNet(t)
-			srv, _ := n.AddHost(mustAddr(t, "192.0.2.1"), "", nil)
-			cli, _ := n.AddHost(mustAddr(t, "192.0.2.2"), "", nil)
-			p := newParkedReader()
-			var err error
-			if direct {
-				_, err = srv.ServeHandler(80, Public, p)
-			} else {
-				_, err = srv.Serve(80, Public, p)
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			conn, err := cli.Dial(context.Background(), srv.Addr(), 80)
-			if err != nil {
-				t.Fatalf("Dial: %v", err)
-			}
-			waitUnblocked(t, n, conn, p)
-		})
+	n := newTestNet(t)
+	srv, _ := n.AddHost(mustAddr(t, "192.0.2.1"), "", nil)
+	cli, _ := n.AddHost(mustAddr(t, "192.0.2.2"), "", nil)
+	p := newParkedReader()
+	if _, err := srv.Serve(80, Public, p); err != nil {
+		t.Fatal(err)
 	}
+	conn, err := cli.Dial(context.Background(), srv.Addr(), 80)
+	if err != nil {
+		t.Fatalf("Dial: %v", err)
+	}
+	waitUnblocked(t, n, conn, p)
 }
 
 // TestNetworkCloseUnblocksInterceptedHandler covers the interceptor
@@ -132,7 +118,7 @@ func TestNetworkConnSetDropsClosedPairs(t *testing.T) {
 	n := newTestNet(t)
 	srv, _ := n.AddHost(mustAddr(t, "192.0.2.1"), "", nil)
 	cli, _ := n.AddHost(mustAddr(t, "192.0.2.2"), "", nil)
-	if _, err := srv.ServeHandler(80, Public, HandlerFunc(func(c net.Conn, _ DialInfo) {
+	if _, err := srv.Serve(80, Public, HandlerFunc(func(c net.Conn, _ DialInfo) {
 		defer c.Close()
 		io.Copy(io.Discard, c) //nolint:errcheck // drain until the client closes
 	})); err != nil {

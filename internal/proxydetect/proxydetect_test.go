@@ -32,12 +32,10 @@ func newFixture(t *testing.T) *fixture {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l, err := ref.Listen(80)
-	if err != nil {
+	srv := &httpwire.Server{Handler: EchoHandler()}
+	if _, err := ref.Serve(80, netsim.Public, netsim.ConnFunc(srv.ServeConn)); err != nil {
 		t.Fatal(err)
 	}
-	srv := &httpwire.Server{Handler: EchoHandler()}
-	go srv.Serve(l) //nolint:errcheck // ends with listener
 
 	mkISP := func(name string, asn int, cidr, hostIP string, ic netsim.Interceptor) *netsim.Host {
 		as, err := n.AddAS(asn, name, "XX", netip.MustParsePrefix(cidr))

@@ -20,9 +20,11 @@
 //   - Open replays the log: sealed segments come from the index when its
 //     recorded sizes match the files (full rescan otherwise), and the tail
 //     segment is always re-scanned. A corrupt tail — a torn line from a
-//     crash mid-append, or a body whose recomputed content ID disagrees
-//     with its envelope — is truncated at the first bad byte and the store
-//     opens cleanly; corruption in a sealed segment is a hard error.
+//     crash mid-append, a body whose recomputed content ID disagrees
+//     with its envelope, or a ref to a body the log does not hold — is
+//     truncated at the first bad record and the store opens cleanly; a
+//     valid final record missing only its newline is kept and
+//     terminated. Corruption in a sealed segment is a hard error.
 //   - Append with content identical to the latest snapshot of the same
 //     (kind, config) pair is deduplicated: no record is written and the
 //     existing Meta is returned with Deduped set.
@@ -536,16 +538,23 @@ func (s *Store) load() error {
 		if _, dup := s.bySeq[r.meta.Seq]; dup {
 			continue
 		}
+		// A ref must follow a body-bearing record of the same content.
+		// In the tail an unresolvable one is a torn or forged record,
+		// truncated like any other corrupt tail bytes.
+		if r.ref != "" {
+			if _, err := s.bodyRecLocked(r.meta.ID); err != nil {
+				if r.seg != tailSeg {
+					return fmt.Errorf("%w: record %d references missing body %s", ErrCorrupt, r.meta.Seq, r.meta.ID)
+				}
+				n, err := truncateAt(s.segPath(tailSeg), r.off)
+				if err != nil {
+					return err
+				}
+				s.recovered += n
+				break
+			}
+		}
 		s.addRecLocked(r)
-	}
-	// Refs must resolve to a body-bearing record of the same content.
-	for _, r := range s.recs {
-		if r.ref == "" {
-			continue
-		}
-		if _, err := s.bodyRecLocked(r.meta.ID); err != nil {
-			return fmt.Errorf("%w: record %d references missing body %s", ErrCorrupt, r.meta.Seq, r.meta.ID)
-		}
 	}
 	s.segIdx = tailSeg
 	if err := s.openTailLocked(); err != nil {
@@ -696,33 +705,17 @@ func (s *Store) scanSegment(idx int, tail bool) (recs []rec, truncated int64, er
 		// An unterminated or over-long final line is tail corruption too.
 		corruptAt = off
 	}
-	if corruptAt < 0 {
-		// The scanner treats a final line without '\n' as complete; detect
-		// the torn-tail case by comparing consumed vs actual size.
+	if corruptAt < 0 && tail {
+		// The scanner accepts a final line without its '\n', counting the
+		// missing byte in off. That record parsed and verified, so it is
+		// whole: restore the terminator so its recorded length is on disk.
 		st, serr := f.Stat()
 		if serr != nil {
 			return nil, 0, fmt.Errorf("store: %w", serr)
 		}
-		if off < st.Size() {
-			// Trailing bytes that parsed as a record but lack the
-			// terminating newline: treat the final record as torn unless
-			// it round-trips exactly. Simplest correct rule: re-verify by
-			// size; a clean segment's offsets always sum to its size.
-			corruptAt = off
-			if len(recs) > 0 {
-				last := &recs[len(recs)-1]
-				if last.off+last.llen-1 == st.Size() {
-					// Final line is complete except for the newline the
-					// scanner consumed; accept it and append the newline.
-					corruptAt = -1
-					if tail {
-						af, aerr := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
-						if aerr == nil {
-							af.WriteString("\n") //nolint:errcheck
-							af.Close()
-						}
-					}
-				}
+		if off > st.Size() {
+			if err := appendNewline(path); err != nil {
+				return nil, 0, err
 			}
 		}
 	}
@@ -730,16 +723,40 @@ func (s *Store) scanSegment(idx int, tail bool) (recs []rec, truncated int64, er
 		if !tail {
 			return nil, 0, fmt.Errorf("%w: %s at offset %d", ErrCorrupt, filepath.Base(path), corruptAt)
 		}
-		st, serr := f.Stat()
-		if serr != nil {
-			return nil, 0, fmt.Errorf("store: %w", serr)
-		}
-		truncated = st.Size() - corruptAt
-		if err := os.Truncate(path, corruptAt); err != nil {
-			return nil, 0, fmt.Errorf("store: truncate corrupt tail: %w", err)
+		if truncated, err = truncateAt(path, corruptAt); err != nil {
+			return nil, 0, err
 		}
 	}
 	return recs, truncated, nil
+}
+
+// appendNewline terminates a tail segment's final record.
+func appendNewline(path string) error {
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		return fmt.Errorf("store: %w", err)
+	}
+	_, err = f.WriteString("\n")
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return fmt.Errorf("store: terminate tail record: %w", err)
+	}
+	return nil
+}
+
+// truncateAt cuts a corrupt tail segment at off and reports how many
+// bytes it dropped.
+func truncateAt(path string, off int64) (int64, error) {
+	st, err := os.Stat(path)
+	if err != nil {
+		return 0, fmt.Errorf("store: %w", err)
+	}
+	if err := os.Truncate(path, off); err != nil {
+		return 0, fmt.Errorf("store: truncate corrupt tail: %w", err)
+	}
+	return st.Size() - off, nil
 }
 
 // ---- read path ----

@@ -340,7 +340,7 @@ func (r *scaleRealm) materializeISP(i int) error {
 			// Dark generic host: exists, answers nothing.
 		default:
 			resp := r.templates[r.genericTemplate(i, j)]
-			if _, err := host.ServeHandler(r.genericPort(i, j), netsim.Public, cannedHandler(resp)); err != nil {
+			if _, err := host.Serve(r.genericPort(i, j), netsim.Public, cannedHandler(resp)); err != nil {
 				return err
 			}
 		}
@@ -353,7 +353,7 @@ func (r *scaleRealm) materializeISP(i int) error {
 // stage exists to absorb.
 func (r *scaleRealm) serveDecoy(host *netsim.Host) error {
 	resp := cannedResponse("nginx/1.2.1", "Filtering field notes", r.decoyBody)
-	_, err := host.ServeHandler(80, netsim.Public, cannedHandler(resp))
+	_, err := host.Serve(80, netsim.Public, cannedHandler(resp))
 	return err
 }
 

@@ -46,3 +46,33 @@ func TestWorldCloseReleasesGoroutines(t *testing.T) {
 		t.Fatalf("%d goroutines 1s after World.Close, baseline %d; first stacks:\n%s", n, baseline, buf)
 	}
 }
+
+// TestIdleWorldParksNoListenerGoroutines pins netsim's one listener
+// model: a simulated server is dispatched straight from the dial, so a
+// built world with nothing in flight runs no goroutine per listener —
+// not for product consoles, origin sites, whois, sinkholes or the
+// mechanism resolvers.
+func TestIdleWorldParksNoListenerGoroutines(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		opts filtermap.Options
+	}{
+		{"default", filtermap.Options{}},
+		{"mechanisms", filtermap.Options{Mechanisms: &filtermap.MechanismOptions{}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			baseline := runtime.NumGoroutine()
+			w, err := filtermap.NewWorld(tc.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer w.Close()
+			time.Sleep(20 * time.Millisecond) // let any listener goroutine park
+			if extra := runtime.NumGoroutine() - baseline; extra > 10 {
+				buf := make([]byte, 1<<20)
+				buf = buf[:runtime.Stack(buf, true)]
+				t.Fatalf("idle world runs %d goroutines above baseline, want <= 10; stacks:\n%s", extra, buf)
+			}
+		})
+	}
+}
